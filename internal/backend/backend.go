@@ -67,43 +67,6 @@ func evalPointwise(ctx context.Context, eval func([]float64) (float64, error), p
 	return out, nil
 }
 
-// shardRange runs fn over the deterministic contiguous shards of [0, n)
-// (the shared shard.ForRange split — backend cannot import exec, which
-// imports backend, so it reaches the primitive directly), adding the error
-// and cancellation handling batch evaluation needs: fn owns [lo, hi)
-// exclusively, must honor ctx, and the first error cancels the remaining
-// shards. Serial budgets run fn inline.
-func shardRange(ctx context.Context, workers, n int, fn func(ctx context.Context, lo, hi int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers <= 1 || n <= 1 {
-		return fn(ctx, 0, n)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	shard.ForRange(workers, n, func(lo, hi int) {
-		if err := fn(cctx, lo, hi); err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			cancel()
-		}
-	})
-	// Prefer the parent context's error: a shard that observed the derived
-	// cancellation should not mask the caller's ctx.Err().
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return firstErr
-}
-
 // Option tunes evaluator construction.
 type Option func(*evalOptions)
 
@@ -243,7 +206,7 @@ func (e *StateVector) EvaluateBatch(ctx context.Context, params [][]float64) ([]
 	}
 	out := make([]float64, len(params))
 	pw, kw := resolveWorkers(e.workers, len(params), qsim.KernelShardable(e.ans.Circuit.N()))
-	err := shardRange(ctx, pw, len(params), func(ctx context.Context, lo, hi int) error {
+	err := shard.Run(ctx, pw, len(params), func(ctx context.Context, _, lo, hi int) error {
 		s := e.pool.Get().(*qsim.State)
 		defer e.pool.Put(s)
 		s.SetWorkers(kw)
@@ -410,7 +373,7 @@ func (e *Density) EvaluateBatch(ctx context.Context, params [][]float64) ([]floa
 	// Density matrices have no amplitude-level sharding, so the budget
 	// always applies at the point level.
 	pw, _ := resolveWorkers(e.workers, len(params), false)
-	err := shardRange(ctx, pw, len(params), func(ctx context.Context, lo, hi int) error {
+	err := shard.Run(ctx, pw, len(params), func(ctx context.Context, _, lo, hi int) error {
 		dm := e.pool.Get().(*qsim.DensityMatrix)
 		defer e.pool.Put(dm)
 		for i := lo; i < hi; i++ {

@@ -3,7 +3,9 @@ package cs
 import (
 	"context"
 	"runtime"
-	"sync"
+	"sync/atomic"
+
+	"repro/internal/shard"
 )
 
 // Job describes one independent reconstruction: recover a Rows×Cols
@@ -43,39 +45,39 @@ func ReconstructMany(ctx context.Context, jobs ...Job) []JobResult {
 	if len(jobs) == 0 {
 		return out
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					out[i] = JobResult{Err: err}
-					continue
-				}
-				job := jobs[i]
-				opt := job.Opt
-				if opt.Workers <= 0 {
-					// Jobs are the unit of parallelism here; keep
-					// unset-Workers jobs serial instead of letting
-					// the solver resolve non-positive values to
-					// GOMAXPROCS.
-					opt.Workers = 1
-				}
-				res, err := Reconstruct2DContext(ctx, job.Rows, job.Cols, job.Idx, job.Y, opt)
-				out[i] = JobResult{Result: res, Err: err}
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
+	var next atomic.Int64
+	// Workers solve under the caller's ctx rather than the one Run derives,
+	// so a panicking solve stops only its own worker and the others keep
+	// claiming jobs.
+	err := shard.Run(ctx, workers, workers, func(context.Context, int, int, int) error {
+		for i := int(next.Add(1)) - 1; i < len(jobs); i = int(next.Add(1)) - 1 {
+			if err := ctx.Err(); err != nil {
+				out[i] = JobResult{Err: err}
+				continue
 			}
-		}()
+			job := jobs[i]
+			opt := job.Opt
+			if opt.Workers <= 0 {
+				// Jobs are the unit of parallelism here; keep
+				// unset-Workers jobs serial instead of letting
+				// the solver resolve non-positive values to
+				// GOMAXPROCS.
+				opt.Workers = 1
+			}
+			res, err := Reconstruct2DContext(ctx, job.Rows, job.Cols, job.Idx, job.Y, opt)
+			out[i] = JobResult{Result: res, Err: err}
+		}
+		return nil
+	})
+	// Workers return nil, so err is a panic (or ctx's error). It marks the
+	// job that panicked, and any left unclaimed if every worker panicked.
+	if err != nil {
+		for i := range out {
+			if out[i].Result == nil && out[i].Err == nil {
+				out[i].Err = err
+			}
+		}
 	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return out
 }

@@ -23,10 +23,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/backend"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // BatchEvaluator computes costs for a batch of parameter vectors. The
@@ -113,10 +114,6 @@ func chunkSize(n, w, configured int) int {
 		c = 512
 	}
 	return c
-}
-
-type chunk struct {
-	lo, hi int // half-open range into the (deduplicated) work list
 }
 
 // EvaluateBatch implements BatchEvaluator: evaluate every parameter vector,
@@ -211,27 +208,23 @@ func (e *Engine) EvaluateBatch(ctx context.Context, params [][]float64) ([]float
 	return results, nil
 }
 
-// run executes work into values (index-aligned) on the worker pool.
+// run executes work into values (index-aligned) on the worker pool: each
+// worker claims the next chunk from a shared counter, so chunks start in
+// ascending order, and under one worker they run inline in that order.
 func (e *Engine) run(ctx context.Context, work [][]float64, values []float64) error {
 	workers := e.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(work) {
-		workers = len(work)
-	}
-	size := chunkSize(len(work), workers, e.opts.ChunkSize)
-
-	if workers <= 1 {
-		// Serial fast path: no channel, no goroutines, no derived context —
-		// chunks run inline in ascending order (the order the engine already
-		// guarantees under Workers=1), so native zero-allocation backends
-		// see no scheduling overhead at all.
-		for lo := 0; lo < len(work); lo += size {
-			hi := lo + size
-			if hi > len(work) {
-				hi = len(work)
+	size := chunkSize(len(work), min(workers, len(work)), e.opts.ChunkSize)
+	var next atomic.Int64
+	return shard.Run(ctx, workers, len(work), func(ctx context.Context, _, _, _ int) error {
+		for {
+			lo := int(next.Add(int64(size))) - size
+			if lo >= len(work) {
+				return nil
 			}
+			hi := min(lo+size, len(work))
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -244,70 +237,5 @@ func (e *Engine) run(ctx context.Context, work [][]float64, values []float64) er
 			}
 			copy(values[lo:hi], vals)
 		}
-		return nil
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	chunks := make(chan chunk, workers)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ch := range chunks {
-				if cctx.Err() != nil {
-					return
-				}
-				vals, err := e.inner.EvaluateBatch(cctx, work[ch.lo:ch.hi])
-				if err != nil {
-					fail(err)
-					return
-				}
-				if len(vals) != ch.hi-ch.lo {
-					fail(errors.New("exec: inner evaluator returned wrong batch length"))
-					return
-				}
-				copy(values[ch.lo:ch.hi], vals)
-			}
-		}()
-	}
-feed:
-	for lo := 0; lo < len(work); lo += size {
-		hi := lo + size
-		if hi > len(work) {
-			hi = len(work)
-		}
-		select {
-		case chunks <- chunk{lo, hi}:
-		case <-cctx.Done():
-			break feed
-		}
-	}
-	close(chunks)
-	wg.Wait()
-
-	if firstErr != nil {
-		return firstErr
-	}
-	// The parent context may have been canceled after the last chunk was
-	// fed but before workers drained; surface that as an error rather than
-	// returning a partially-filled batch.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return nil
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/shard"
 )
 
 // batch builds n 2-parameter points with distinct coordinates.
@@ -203,6 +204,22 @@ func TestEngineErrorPropagation(t *testing.T) {
 	}), Options{Workers: 3, ChunkSize: 2})
 	if _, err := en.EvaluateBatch(context.Background(), batch(1000)); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
+	}
+}
+
+// TestEnginePanicIsReturned: a panic in a worker goroutine comes back as a
+// *shard.PanicError, whatever the worker count, instead of killing the
+// process.
+func TestEnginePanicIsReturned(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		en := New(BatchFunc(func(ctx context.Context, params [][]float64) ([]float64, error) {
+			panic("evaluator blew up")
+		}), Options{Workers: workers, ChunkSize: 2})
+		_, err := en.EvaluateBatch(context.Background(), batch(40))
+		var pe *shard.PanicError
+		if !errors.As(err, &pe) || pe.Value != "evaluator blew up" {
+			t.Fatalf("workers=%d: err = %v, want *shard.PanicError", workers, err)
+		}
 	}
 }
 

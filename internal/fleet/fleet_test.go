@@ -12,6 +12,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/landscape"
 	"repro/internal/qpu"
+	"repro/internal/shard"
 )
 
 func testGrid(t *testing.T) *landscape.Grid {
@@ -564,6 +565,26 @@ func TestFleetDeviceErrorNotMaskedByCancellation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "calibration lost") {
 		t.Fatalf("error does not name the failing device: %v", err)
+	}
+}
+
+// TestFleetDevicePanicIsAnError: a device evaluator that panics on a worker
+// goroutine fails the run with a *shard.PanicError instead of killing the
+// process.
+func TestFleetDevicePanicIsAnError(t *testing.T) {
+	g := testGrid(t)
+	bad := &backend.Func{Label: "bad", Params: 2, F: func(p []float64) (float64, error) {
+		panic("device blew up")
+	}}
+	s, err := New(Options{Seed: 71, Workers: 4},
+		qpu.Device{Name: "bad", Eval: bad, Latency: qpu.LatencyModel{QueueMedian: 10, Sigma: 0.3, Exec: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run(context.Background(), g, allIndices(g))
+	var pe *shard.PanicError
+	if !errors.As(err, &pe) || pe.Value != "device blew up" {
+		t.Fatalf("err = %v, want *shard.PanicError", err)
 	}
 }
 

@@ -2,16 +2,16 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/landscape"
 	"repro/internal/obs"
 	"repro/internal/qpu"
+	"repro/internal/shard"
 )
 
 // Partial records one interim reconstruction of a streaming run.
@@ -286,36 +286,36 @@ func (s *Scheduler) evaluate(ctx context.Context, g *landscape.Grid, groups []gr
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(groups))
 	evals := make([]exec.BatchEvaluator, len(s.devices))
 	for d := range s.devices {
 		evals[d] = exec.FromEvaluator(s.devices[d].Eval)
 	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, workers)
 	done := make([]chan struct{}, len(groups))
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
 	for i := range groups {
-		gr := &groups[i]
-		if gr.Device < 0 {
-			continue // cache-served, values already present
+		if groups[i].Device >= 0 {
+			done[i] = make(chan struct{})
 		}
-		ch := make(chan struct{})
-		done[i] = ch
-		wg.Add(1)
-		go func(i int, gr *group) {
-			defer wg.Done()
-			defer close(ch)
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-cctx.Done():
-				errs[i] = cctx.Err()
-				return
+	}
+
+	// Slot 0 merges while slots 1..workers evaluate, claiming groups in
+	// ascending order. A failed or panicking evaluation never closes its
+	// group's done channel; it cancels ctx instead, which releases the
+	// merger, and Run reports that first error.
+	var next atomic.Int64
+	return shard.Run(ctx, workers+1, workers+1, func(ctx context.Context, slot, _, _ int) error {
+		if slot == 0 {
+			return mergeInOrder(ctx, g, groups, done, cache, merge)
+		}
+		for i := int(next.Add(1)) - 1; i < len(groups); i = int(next.Add(1)) - 1 {
+			if done[i] == nil {
+				continue // cache-served, values already present
 			}
-			bspan, bctx := obs.Start(cctx, "fleet.batch")
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			gr := &groups[i]
+			bspan, bctx := obs.Start(ctx, "fleet.batch")
 			bspan.SetAttr("device", s.devices[gr.Device].Name)
 			bspan.SetAttr("size", gr.Size)
 			bspan.SetVirtual(gr.Start, gr.Done)
@@ -331,35 +331,29 @@ func (s *Scheduler) evaluate(ctx context.Context, g *landscape.Grid, groups []gr
 			bspan.SetError(err)
 			bspan.End()
 			if err != nil {
-				errs[i] = fmt.Errorf("fleet: device %q failed: %w", s.devices[gr.Device].Name, err)
-				cancel()
-				return
+				return fmt.Errorf("fleet: device %q failed: %w", s.devices[gr.Device].Name, err)
 			}
 			gr.values = vals
-		}(i, gr)
-	}
-	// Wait for every in-flight evaluation before returning, so no
-	// goroutine outlives an error path.
-	defer wg.Wait()
+			close(done[i])
+		}
+		return nil
+	})
+}
 
+// mergeInOrder takes the groups in index order, waiting for each scheduled
+// group's evaluation, storing fresh measurements into cache and handing
+// every group, cache-served ones included, to merge (when non-nil). It
+// returns once every group is merged, or early with ctx's error once a
+// failure elsewhere cancels it.
+func mergeInOrder(ctx context.Context, g *landscape.Grid, groups []group, done []chan struct{}, cache *exec.Cache, merge func(*group) error) error {
 	for i := range groups {
 		gr := &groups[i]
 		if done[i] != nil {
-			<-done[i]
-		}
-		if errs[i] != nil {
-			// A real device failure cancels cctx, which makes unrelated
-			// in-flight groups fail with context errors too; scanning by
-			// index alone could surface one of those first and misreport
-			// a device error as a cancellation. Wait everything out and
-			// prefer the first non-context error.
-			wg.Wait()
-			for _, e := range errs {
-				if e != nil && !errors.Is(e, context.Canceled) && !errors.Is(e, context.DeadlineExceeded) {
-					return e
-				}
+			select {
+			case <-done[i]:
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			return errs[i]
 		}
 		if cache != nil && gr.Device >= 0 {
 			for j, gi := range gr.indices {
@@ -368,7 +362,6 @@ func (s *Scheduler) evaluate(ctx context.Context, g *landscape.Grid, groups []gr
 		}
 		if merge != nil {
 			if err := merge(gr); err != nil {
-				cancel()
 				return err
 			}
 		}

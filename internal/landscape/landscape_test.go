@@ -1,7 +1,6 @@
 package landscape
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -169,37 +168,6 @@ func TestSampleMatchesGenerate(t *testing.T) {
 		if math.Abs(vals[j]-full.Data[i]) > 1e-12 {
 			t.Fatalf("sample[%d]=%g want %g", j, vals[j], full.Data[i])
 		}
-	}
-}
-
-func TestReshape4DTo2DPreservesLayout(t *testing.T) {
-	g := mustGrid(t,
-		Axis{Name: "b1", Min: 0, Max: 1, N: 2},
-		Axis{Name: "b2", Min: 0, Max: 1, N: 3},
-		Axis{Name: "g1", Min: 0, Max: 1, N: 4},
-		Axis{Name: "g2", Min: 0, Max: 1, N: 5},
-	)
-	l := New(g)
-	for i := range l.Data {
-		l.Data[i] = float64(i)
-	}
-	r, err := l.Reshape4DTo2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, cols, err := r.Shape2D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != 6 || cols != 20 {
-		t.Fatalf("shape %dx%d want 6x20", rows, cols)
-	}
-	// (b1,b2,g1,g2) = (1,2,3,4) maps to row 1*3+2=5, col 3*5+4=19.
-	if got := r.At(5, 19); got != float64(l.Grid.Index(1, 2, 3, 4)) {
-		t.Fatalf("reshaped value %g", got)
-	}
-	if _, err := New(mustGrid(t, Axis{Name: "x", Min: 0, Max: 1, N: 3}, Axis{Name: "y", Min: 0, Max: 1, N: 3})).Reshape4DTo2D(); err == nil {
-		t.Error("want error reshaping 2-D landscape")
 	}
 }
 
@@ -374,41 +342,14 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	g := mustGrid(t,
-		Axis{Name: "beta", Min: -1, Max: 1, N: 5},
-		Axis{Name: "gamma", Min: -2, Max: 2, N: 7},
-	)
-	l := New(g)
-	for i := range l.Data {
-		l.Data[i] = float64(i) * 0.5
-	}
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Grid.Axes) != 2 || back.Grid.Axes[0].Name != "beta" {
-		t.Fatalf("axes lost: %+v", back.Grid.Axes)
-	}
-	for i := range l.Data {
-		if back.Data[i] != l.Data[i] {
-			t.Fatalf("data[%d] %g want %g", i, back.Data[i], l.Data[i])
-		}
-	}
-}
-
 func TestLoadRejectsCorruptInput(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
+	if _, err := LoadArtifact(strings.NewReader("not json")); err == nil {
 		t.Error("want error for bad json")
 	}
-	if _, err := Load(strings.NewReader(`{"axes":[{"Name":"x","Min":0,"Max":1,"N":4}],"data":[1,2]}`)); err == nil {
+	if _, err := LoadArtifact(strings.NewReader(`{"axes":[{"Name":"x","Min":0,"Max":1,"N":4}],"data":[1,2]}`)); err == nil {
 		t.Error("want error for shape mismatch")
 	}
-	if _, err := Load(strings.NewReader(`{"axes":[],"data":[]}`)); err == nil {
+	if _, err := LoadArtifact(strings.NewReader(`{"axes":[],"data":[]}`)); err == nil {
 		t.Error("want error for no axes")
 	}
 }

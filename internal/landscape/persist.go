@@ -66,7 +66,7 @@ type SolverMeta struct {
 // I trust it" without re-deriving anything.
 type Artifact struct {
 	// Version is the format version the artifact was read from (or will be
-	// written as — Save always writes ArtifactVersion). Legacy bare-JSON
+	// written as — SaveArtifact always writes ArtifactVersion). Legacy bare-JSON
 	// files load as Version 1.
 	Version int
 	// Axes and Data are the landscape itself (row-major, last axis
@@ -341,25 +341,4 @@ func LoadArtifactFile(path string) (*Artifact, error) {
 type serialized struct {
 	Axes []Axis    `json:"axes"`
 	Data []float64 `json:"data"`
-}
-
-// Save writes the landscape in the legacy bare-JSON form.
-//
-// Deprecated: use SaveArtifact, which adds a format version, provenance
-// metadata, and a content checksum. Save remains for tooling pinned to the
-// old format; LoadArtifact (and Load) read both.
-func (l *Landscape) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(serialized{Axes: l.Grid.Axes, Data: l.Data})
-}
-
-// Load reads a landscape written by Save or SaveArtifact (either format
-// version), validating shape consistency. Artifact metadata, if present, is
-// dropped; use LoadArtifact to keep it.
-func Load(r io.Reader) (*Landscape, error) {
-	a, err := LoadArtifact(r)
-	if err != nil {
-		return nil, err
-	}
-	return a.Landscape()
 }

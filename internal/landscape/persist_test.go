@@ -95,19 +95,14 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactLegacyLoad: bare-JSON files written by the deprecated
-// Landscape.Save still load, as format version 1 with unknown NRMSE.
+// TestArtifactLegacyLoad: bare-JSON files written by older releases still
+// load, as format version 1 with unknown NRMSE.
 func TestArtifactLegacyLoad(t *testing.T) {
 	a := testArtifact(t)
-	l, err := a.Landscape()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadArtifact(&buf)
+	legacy := `{"axes":[{"Name":"gamma","Min":0,"Max":3.141592653589793,"N":5},` +
+		`{"Name":"beta","Min":0,"Max":1.5707963267948966,"N":4}],` +
+		`"data":[-1,-0.75,-0.5,-0.25,0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3,3.25,3.5,3.75]}` + "\n"
+	got, err := LoadArtifact(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +111,9 @@ func TestArtifactLegacyLoad(t *testing.T) {
 	}
 	if !math.IsNaN(got.NRMSE) || got.Fingerprint != "" {
 		t.Errorf("legacy load invented metadata: nrmse=%v fingerprint=%q", got.NRMSE, got.Fingerprint)
+	}
+	if len(got.Axes) != 2 || got.Axes[0] != a.Axes[0] || got.Axes[1] != a.Axes[1] {
+		t.Errorf("legacy axes %+v, want %+v", got.Axes, a.Axes)
 	}
 	if len(got.Data) != len(a.Data) {
 		t.Fatalf("legacy data length %d, want %d", len(got.Data), len(a.Data))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/landscape"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // JobState is the lifecycle of a submitted job.
@@ -167,11 +169,6 @@ type JobResult struct {
 	Fleet *FleetResult `json:"fleet,omitempty"`
 }
 
-// panicError marks a recovered internal panic (HTTP 500).
-type panicError struct{ msg string }
-
-func (e *panicError) Error() string { return e.msg }
-
 // runJob drives a job to completion: wait for a worker slot, execute, and
 // record the outcome. It never panics — internal panics from dct/qsim/
 // landscape surface as a failed job, not a dead process.
@@ -207,12 +204,22 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 }
 
 // execute runs the OSCAR pipeline for a job inside a panic-recovery
-// boundary.
+// boundary. A panic on the job goroutine and one a worker goroutine returned
+// as a *shard.PanicError are counted and logged here, once per job.
 func (s *Server) execute(ctx context.Context, j *Job) (res *JobResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			pe, ok := p.(*shard.PanicError)
+			if !ok {
+				pe = &shard.PanicError{Value: p, Stack: debug.Stack()}
+			}
+			res, err = nil, pe
+		}
+		var pe *shard.PanicError
+		if errors.As(err, &pe) {
 			s.panics.Add(1)
-			err = &panicError{msg: fmt.Sprintf("internal panic: %v", p)}
+			s.log.Error("internal panic", "trace_id", j.trace.ID(), "job_id", j.id,
+				"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 		}
 	}()
 	opt := j.built.opts
@@ -433,7 +440,7 @@ func (s *Server) finishJob(j *Job, res *JobResult, err error) {
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		var pe *panicError
+		var pe *shard.PanicError
 		if errors.As(err, &pe) {
 			j.httpStatus = http.StatusInternalServerError
 		} else {
