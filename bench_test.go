@@ -663,59 +663,6 @@ func BenchmarkReconstructParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkReconstructMany solves a fleet of independent 50x100
-// reconstructions — the concurrent-jobs regime the service layer will serve
-// — once through ReconstructMany's pool and once as a serial loop.
-func BenchmarkReconstructMany(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	p, err := problem.Random3RegularMaxCut(16, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := backend.NewAnalyticQAOA(p, noise.Fig4())
-	if err != nil {
-		b.Fatal(err)
-	}
-	grid, err := QAOAGrid(1, 50, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const fleet = 8
-	jobs := make([]cs.Job, fleet)
-	for k := range jobs {
-		idx, err := core.SampleGrid(grid, 0.05, int64(100+k), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		values, err := exec.New(exec.FromEvaluator(ev), exec.Options{}).
-			EvaluateBatch(context.Background(), grid.Points(idx))
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt := cs.DefaultOptions()
-		opt.Workers = 1
-		jobs[k] = cs.Job{Rows: 50, Cols: 100, Idx: idx, Y: values, Opt: opt}
-	}
-	b.Run("pool", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, jr := range cs.ReconstructMany(context.Background(), jobs...) {
-				if jr.Err != nil {
-					b.Fatal(jr.Err)
-				}
-			}
-		}
-	})
-	b.Run("serial-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, j := range jobs {
-				if _, err := cs.Reconstruct2D(j.Rows, j.Cols, j.Idx, j.Y, j.Opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkReconstruct5000 is the paper's headline operation: reconstruct
 // the 50x100 Table 1 grid from 5% of its points.
 func BenchmarkReconstruct5000(b *testing.B) {

@@ -47,10 +47,11 @@ func main() {
 		log.Fatal(err)
 	}
 	lat := qpu.LatencyModel{QueueMedian: 45, Sigma: 0.5, Exec: 4, TailProb: 0.07, TailFactor: 22}
-	ex, err := oscar.NewExecutor(9,
-		oscar.Device{Name: "qpu-a", Eval: devA, Latency: lat},
-		oscar.Device{Name: "qpu-b", Eval: devB, Latency: lat},
-	)
+	devices := []oscar.Device{
+		{Name: "qpu-a", Eval: devA, Latency: lat},
+		{Name: "qpu-b", Eval: devB, Latency: lat},
+	}
+	ex, err := oscar.NewExecutor(9, devices...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,8 +63,13 @@ func main() {
 		len(rep.Results), rep.Makespan, rep.SerialTime, rep.Speedup())
 
 	// Batched submission: 25 circuits per job pay one queue delay together,
-	// the amortization real cloud QPUs reward.
-	repB, err := ex.RunBatched(context.Background(), grid, idx, 25)
+	// the amortization real cloud QPUs reward. The fleet scheduler's
+	// fixed-batch mode sends each batch to the earliest-free device.
+	fl, err := oscar.NewFleet(oscar.FleetOptions{Seed: 9, FixedBatch: 25}, devices...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	repB, err := fl.Run(context.Background(), grid, idx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -117,8 +117,8 @@ func DefaultOptions() Options {
 // Warm — becomes DefaultOptions carrying them, so picking a pool size or
 // warm-starting never silently drops the paper configuration (continuation,
 // debias). Any other set field disables the promotion. ReconstructNDContext
-// applies it to every solve, so direct calls, the 2D/1D wrappers,
-// core.Options.Solver, and ReconstructMany jobs all follow this one rule.
+// applies it to every solve, so direct calls and core.Options.Solver follow
+// this one rule.
 func (o Options) WithDefaults() Options {
 	// Keep the probe in sync with the field list: every non-carry-through
 	// field must be checked here, or a caller setting it would be promoted
@@ -164,9 +164,9 @@ type Result struct {
 
 // ReconstructND recovers an N-dimensional landscape of the given per-axis
 // lengths (row-major, last axis fastest) from values y observed at the flat
-// grid indices idx. idx entries must be unique and in [0, prod(dims)). This
-// is the primary reconstruction entry point; Reconstruct2D and Reconstruct1D
-// are thin compatibility wrappers over it.
+// grid indices idx. idx entries must be unique and in [0, prod(dims)). It is
+// the one reconstruction entry point: a 2-D landscape is dims {rows, cols}
+// and a 1-D line cut is dims {n}.
 func ReconstructND(dims []int, idx []int, y []float64, opt Options) (*Result, error) {
 	return ReconstructNDContext(context.Background(), dims, idx, y, opt)
 }
@@ -232,24 +232,6 @@ func ReconstructNDContext(ctx context.Context, dims []int, idx []int, y []float6
 	span.SetAttr("residual", res.Residual)
 	span.SetAttr("sparsity", res.Sparsity)
 	return res, nil
-}
-
-// Reconstruct2D recovers a rows×cols landscape from values y observed at the
-// row-major grid indices idx. idx entries must be unique and in
-// [0, rows*cols). It is the 2-axis special case of ReconstructND and remains
-// bit-identical to the pre-ND solver (the ND DCT's two-axis passes are
-// exactly the old row/column sweep).
-func Reconstruct2D(rows, cols int, idx []int, y []float64, opt Options) (*Result, error) {
-	return Reconstruct2DContext(context.Background(), rows, cols, idx, y, opt)
-}
-
-// Reconstruct2DContext is Reconstruct2D with cancellation: a canceled ctx
-// stops the solver between iterations and returns ctx.Err().
-func Reconstruct2DContext(ctx context.Context, rows, cols int, idx []int, y []float64, opt Options) (*Result, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("cs: invalid shape %dx%d", rows, cols)
-	}
-	return ReconstructNDContext(ctx, []int{rows, cols}, idx, y, opt)
 }
 
 // partialDCT is the measurement operator A and its adjoint, sharded across
@@ -689,17 +671,4 @@ func StratifiedIndicesND(rng *rand.Rand, dims []int, m int) ([]int, error) {
 	walk(lo, append([]int(nil), dims...), m)
 	sort.Ints(out)
 	return out, nil
-}
-
-// Reconstruct1D recovers a length-n signal from samples at the given
-// indices. One-dimensional landscapes arise when OSCAR scans a single
-// circuit parameter (line cuts for quick diagnostics). It routes through
-// ReconstructND with a single axis — bit-identical to the historical 1xN
-// Reconstruct2D routing, because a length-1 leading axis is an exact
-// identity pass the transform skips.
-func Reconstruct1D(n int, idx []int, y []float64, opt Options) (*Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cs: invalid length %d", n)
-	}
-	return ReconstructND([]int{n}, idx, y, opt)
 }

@@ -27,10 +27,9 @@ func hashFloats(xs []float64) uint64 {
 	return h
 }
 
-// Golden outputs of the seed (pre-ND) 2-D solver, captured before the
-// refactor routed Reconstruct2D/Reconstruct1D through ReconstructND. These
-// pin the acceptance criterion that the existing entry points stay
-// bit-identical across the redesign.
+// Golden outputs of the seed (pre-ND) 2-D solver. They pin ReconstructND on
+// dims {rows, cols} and {n} to the seed solver's exact bits, so a change that
+// moves them is a numerical change to report, not a fixture to regenerate.
 //
 // 2-D fixture: the Table-1 50x100 grid, 8 modes, seed 17, 20% sampling.
 // 1-D fixture: a 5000-point line cut, 6 modes, seed 19, 10% sampling.
@@ -60,7 +59,7 @@ func TestReconstruct2DGolden(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	res, err := Reconstruct2D(rows, cols, idx, y, DefaultOptions())
+	res, err := ReconstructND([]int{rows, cols}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +77,8 @@ func TestReconstruct2DGolden(t *testing.T) {
 	}
 }
 
-// TestReconstruct1DGolden pins Reconstruct1D — which historically routed
-// through Reconstruct2D(1, n, ...) and now routes through ReconstructND — to
-// the seed solver's exact output.
+// TestReconstruct1DGolden pins a single-axis ReconstructND — which the seed
+// solved as a 1xn 2-D grid — to the seed solver's exact output.
 func TestReconstruct1DGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	n := 5000
@@ -93,7 +91,7 @@ func TestReconstruct1DGolden(t *testing.T) {
 	for j, i := range idx {
 		y[j] = x[i]
 	}
-	res, err := Reconstruct1D(n, idx, y, DefaultOptions())
+	res, err := ReconstructND([]int{n}, idx, y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,30 +195,6 @@ func TestReconstructNDWorkersBitIdentical(t *testing.T) {
 		if math.Float64bits(res.Residual) != math.Float64bits(ref.Residual) {
 			t.Fatalf("workers %d: residual differs", workers)
 		}
-	}
-}
-
-// TestReconstruct2DEqualsND: the 2-D wrapper and a direct ND call on the
-// same shape are the same solve.
-func TestReconstruct2DEqualsND(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	rows, cols := 20, 30
-	x, _ := sparseLandscape(rng, rows, cols, 4)
-	idx, _ := SampleIndices(rng, rows*cols, 150)
-	y := make([]float64, len(idx))
-	for j, i := range idx {
-		y[j] = x[i]
-	}
-	a, err := Reconstruct2D(rows, cols, idx, y, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReconstructND([]int{rows, cols}, idx, y, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashFloats(a.X) != hashFloats(b.X) || hashFloats(a.Coeffs) != hashFloats(b.Coeffs) {
-		t.Fatal("Reconstruct2D and ReconstructND disagree on the same shape")
 	}
 }
 

@@ -19,7 +19,7 @@ func sparseScene(t *testing.T, rows, cols, m int, seed int64) (x []float64, idx 
 		coeffs[rng.Intn(n/8)] = rng.NormFloat64() * 3
 	}
 	x = make([]float64, n)
-	dct.NewPlan2D(rows, cols).Inverse(x, coeffs)
+	dct.NewPlanND([]int{rows, cols}).Inverse(x, coeffs)
 	idx, err := SampleIndices(rng, n, m)
 	if err != nil {
 		t.Fatal(err)
@@ -37,14 +37,14 @@ func TestWarmStartConverges(t *testing.T) {
 	rows, cols := 24, 32
 	x, idx, y := sparseScene(t, rows, cols, 200, 31)
 
-	cold, err := Reconstruct2D(rows, cols, idx, y, Options{})
+	cold, err := ReconstructND([]int{rows, cols}, idx, y, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm-start from the cold solution itself: the solver should accept
 	// it nearly unchanged.
 	opt := Options{Warm: cold.Coeffs}
-	warm, err := Reconstruct2D(rows, cols, idx, y, opt)
+	warm, err := ReconstructND([]int{rows, cols}, idx, y, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +72,15 @@ func TestWarmStartGrowingSamples(t *testing.T) {
 	x, idx, y := sparseScene(t, rows, cols, 260, 57)
 
 	half := len(idx) / 2
-	first, err := Reconstruct2D(rows, cols, idx[:half], y[:half], Options{})
+	first, err := ReconstructND([]int{rows, cols}, idx[:half], y[:half], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldFull, err := Reconstruct2D(rows, cols, idx, y, Options{})
+	coldFull, err := ReconstructND([]int{rows, cols}, idx, y, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmFull, err := Reconstruct2D(rows, cols, idx, y, Options{Warm: first.Coeffs})
+	warmFull, err := ReconstructND([]int{rows, cols}, idx, y, Options{Warm: first.Coeffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWarmStartGrowingSamples(t *testing.T) {
 		t.Errorf("warm full reconstruction off the truth by %g", maxErr)
 	}
 	// Determinism: repeating the same warm solve reproduces it bit for bit.
-	again, err := Reconstruct2D(rows, cols, idx, y, Options{Warm: first.Coeffs})
+	again, err := ReconstructND([]int{rows, cols}, idx, y, Options{Warm: first.Coeffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWarmStartGrowingSamples(t *testing.T) {
 // promotion rule carries Warm through to the default configuration.
 func TestWarmStartValidation(t *testing.T) {
 	_, idx, y := sparseScene(t, 8, 8, 20, 3)
-	if _, err := Reconstruct2D(8, 8, idx, y, Options{Warm: make([]float64, 7)}); err == nil {
+	if _, err := ReconstructND([]int{8, 8}, idx, y, Options{Warm: make([]float64, 7)}); err == nil {
 		t.Error("want error for wrong warm-start length")
 	}
 	warm := make([]float64, 64)

@@ -143,52 +143,3 @@ func InverseDirect(y []float64) []float64 {
 	}
 	return out
 }
-
-// Plan2D computes separable orthonormal 2-D DCTs on row-major rows×cols
-// data. It is the sparsifying transform the compressed-sensing solver used
-// before the API went N-dimensional: a landscape X is represented as
-// X = IDCT2(S) with S sparse.
-//
-// Plan2D is the 2-axis special case of PlanND — it delegates every transform
-// to a PlanND over [rows, cols], so the two are bit-identical by
-// construction. New code should use PlanND directly; Plan2D remains as the
-// 2-D compatibility surface.
-type Plan2D struct {
-	nd *PlanND
-}
-
-// serialMinSize is the grid size below which parallel plans fall back to a
-// single worker: per-transform work is so small there that goroutine fan-out
-// costs more than it saves.
-const serialMinSize = 4096
-
-// NewPlan2D creates a serial 2-D DCT plan for row-major rows×cols grids.
-func NewPlan2D(rows, cols int) *Plan2D { return NewPlan2DWorkers(rows, cols, 1) }
-
-// NewPlan2DWorkers creates a 2-D DCT plan that shards the row and column
-// passes across up to workers goroutines (0 = GOMAXPROCS). Small grids
-// (rows*cols < 4096) fall back to a serial plan regardless of workers; the
-// result is bit-identical to NewPlan2D's in every case.
-func NewPlan2DWorkers(rows, cols, workers int) *Plan2D {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("dct: invalid 2-D DCT shape %dx%d", rows, cols))
-	}
-	return &Plan2D{nd: NewPlanNDWorkers([]int{rows, cols}, workers)}
-}
-
-// Rows reports the number of rows the plan transforms.
-func (p *Plan2D) Rows() int { return p.nd.dims[0] }
-
-// Cols reports the number of columns the plan transforms.
-func (p *Plan2D) Cols() int { return p.nd.dims[1] }
-
-// Workers reports the effective worker count (1 after the small-grid serial
-// fallback).
-func (p *Plan2D) Workers() int { return p.nd.workers }
-
-// Forward computes the 2-D orthonormal DCT-II of src into dst (row-major,
-// length rows*cols). dst and src may alias.
-func (p *Plan2D) Forward(dst, src []float64) { p.nd.Forward(dst, src) }
-
-// Inverse computes the 2-D orthonormal DCT-III of src into dst.
-func (p *Plan2D) Inverse(dst, src []float64) { p.nd.Inverse(dst, src) }

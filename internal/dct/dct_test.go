@@ -222,7 +222,7 @@ func TestPlan2DRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, shape := range [][2]int{{1, 1}, {3, 5}, {12, 15}, {50, 100}, {144, 225}} {
 		rows, cols := shape[0], shape[1]
-		p := NewPlan2D(rows, cols)
+		p := NewPlanND([]int{rows, cols})
 		x := randVec(rng, rows*cols)
 		y := make([]float64, rows*cols)
 		p.Forward(y, x)
@@ -239,7 +239,7 @@ func TestPlan2DRoundTrip(t *testing.T) {
 func TestPlan2DMatchesSeparableDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rows, cols := 6, 9
-	p := NewPlan2D(rows, cols)
+	p := NewPlanND([]int{rows, cols})
 	x := randVec(rng, rows*cols)
 	got := make([]float64, rows*cols)
 	p.Forward(got, x)
@@ -269,7 +269,7 @@ func TestPlan2DMatchesSeparableDirect(t *testing.T) {
 
 func TestPlan2DIsometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	p := NewPlan2D(17, 23)
+	p := NewPlanND([]int{17, 23})
 	x := randVec(rng, 17*23)
 	y := make([]float64, len(x))
 	p.Forward(y, x)
@@ -283,22 +283,23 @@ func TestPlan2DIsometry(t *testing.T) {
 	}
 }
 
-// TestPlan2DParallelBitIdentical is the sharded-solver contract: a parallel
-// plan must produce bit-for-bit the serial plan's output for every worker
-// count, both directions, on grids above and below the serial fallback.
+// TestPlan2DParallelBitIdentical is the sharded-solver contract on 2-D
+// shapes: a parallel plan must produce bit-for-bit the serial plan's output
+// for every worker count, both directions, on grids above and below the
+// serial fallback.
 func TestPlan2DParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shapes := [][2]int{{50, 100}, {64, 64}, {70, 90}, {1, 8192}, {4096, 1}, {3, 5}}
 	for _, shape := range shapes {
 		rows, cols := shape[0], shape[1]
-		serial := NewPlan2D(rows, cols)
+		serial := NewPlanND([]int{rows, cols})
 		x := randVec(rng, rows*cols)
 		wantF := make([]float64, rows*cols)
 		serial.Forward(wantF, x)
 		wantI := make([]float64, rows*cols)
 		serial.Inverse(wantI, x)
 		for _, workers := range []int{0, 2, 3, 4, 8} {
-			par := NewPlan2DWorkers(rows, cols, workers)
+			par := NewPlanNDWorkers([]int{rows, cols}, workers)
 			gotF := make([]float64, rows*cols)
 			par.Forward(gotF, x)
 			gotI := make([]float64, rows*cols)
@@ -315,8 +316,8 @@ func TestPlan2DParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPlan2DDegenerateAxisMatches1D: a 1xN (or Nx1) 2-D plan must equal the
-// 1-D plan bitwise — the length-1 pass on the degenerate axis is the exact
+// TestPlan2DDegenerateAxisMatches1D: a 1xN (or Nx1) plan must equal the 1-D
+// plan bitwise — the length-1 pass on the degenerate axis is the exact
 // identity and is skipped.
 func TestPlan2DDegenerateAxisMatches1D(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -325,7 +326,7 @@ func TestPlan2DDegenerateAxisMatches1D(t *testing.T) {
 		want := make([]float64, n)
 		NewPlan(n).Forward(want, x)
 		for _, shape := range [][2]int{{1, n}, {n, 1}} {
-			p := NewPlan2D(shape[0], shape[1])
+			p := NewPlanND([]int{shape[0], shape[1]})
 			got := make([]float64, n)
 			p.Forward(got, x)
 			for i := range got {
@@ -344,33 +345,33 @@ func TestPlan2DDegenerateAxisMatches1D(t *testing.T) {
 	}
 }
 
-// TestPlan2DSerialFallback pins the small-grid rule: under 4096 points a
-// parallel plan degrades to one worker.
+// TestPlan2DSerialFallback pins the small-grid rule on 2-D shapes: under
+// 4096 points a parallel plan degrades to one worker.
 func TestPlan2DSerialFallback(t *testing.T) {
-	if w := NewPlan2DWorkers(10, 10, 8).Workers(); w != 1 {
+	if w := NewPlanNDWorkers([]int{10, 10}, 8).Workers(); w != 1 {
 		t.Errorf("10x10 plan reports %d workers, want serial fallback 1", w)
 	}
-	if w := NewPlan2DWorkers(63, 65, 8).Workers(); w != 1 {
+	if w := NewPlanNDWorkers([]int{63, 65}, 8).Workers(); w != 1 {
 		t.Errorf("63x65 (4095 pts) plan reports %d workers, want 1", w)
 	}
-	if w := NewPlan2DWorkers(64, 64, 8).Workers(); w != 8 {
+	if w := NewPlanNDWorkers([]int{64, 64}, 8).Workers(); w != 8 {
 		t.Errorf("64x64 plan reports %d workers, want 8", w)
 	}
 	// Worker count never exceeds the longer grid side.
-	if w := NewPlan2DWorkers(2, 4096, 16384).Workers(); w > 4096 {
+	if w := NewPlanNDWorkers([]int{2, 4096}, 16384).Workers(); w > 4096 {
 		t.Errorf("2x4096 plan reports %d workers, want <= 4096", w)
 	}
-	if NewPlan2DWorkers(64, 64, 0).Workers() < 1 {
+	if NewPlanNDWorkers([]int{64, 64}, 0).Workers() < 1 {
 		t.Error("workers=0 must resolve to at least one worker")
 	}
 }
 
-// TestPlan2DParallelReuse exercises a parallel plan repeatedly (the FISTA
+// TestPlan2DParallelReuse exercises a parallel 2-D plan repeatedly (the FISTA
 // loop's access pattern) to shake out scratch-buffer sharing bugs under the
 // race detector.
 func TestPlan2DParallelReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	p := NewPlan2DWorkers(50, 100, 4)
+	p := NewPlanNDWorkers([]int{50, 100}, 4)
 	x := randVec(rng, 5000)
 	first := make([]float64, 5000)
 	p.Forward(first, x)
@@ -400,7 +401,7 @@ func TestPlan2DPanicsOnBadShape(t *testing.T) {
 			t.Fatal("expected panic for shape 0x5")
 		}
 	}()
-	NewPlan2D(0, 5)
+	NewPlanND([]int{0, 5})
 }
 
 func BenchmarkDCTFFT1024(b *testing.B) {

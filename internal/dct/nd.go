@@ -10,9 +10,9 @@ import (
 // PlanND computes separable orthonormal N-dimensional DCTs on row-major data
 // (last axis fastest). The transform applies one 1-D pass per axis, from the
 // last axis to the first: each pass transforms size/dims[k] independent lines
-// along axis k. The 2-D case is exactly Plan2D's row-then-column sweep;
-// Plan2D is now a thin 2-axis wrapper over PlanND, so the two are
-// bit-identical by construction.
+// along axis k. It is the sparsifying transform of the compressed-sensing
+// solver: a landscape X is represented as X = IDCT(S) with S sparse. In 2-D
+// that is a pass over every row, then one over every column.
 //
 // A plan built with NewPlanNDWorkers shards each axis pass's independent
 // lines across a worker pool. Each worker transforms whole lines with its own
@@ -32,6 +32,11 @@ type PlanND struct {
 	axisBufs [][][]float64
 	axisOuts [][][]float64
 }
+
+// serialMinSize is the grid size below which parallel plans fall back to a
+// single worker: per-transform work is so small there that goroutine fan-out
+// costs more than it saves.
+const serialMinSize = 4096
 
 // NewPlanND creates a serial N-dimensional DCT plan for row-major data of the
 // given per-axis lengths (last axis fastest).
@@ -63,8 +68,8 @@ func NewPlanNDWorkers(dims []int, workers int) *PlanND {
 		workers = 1
 	}
 	// An axis pass has size/dims[k] independent lines; the busiest pass has
-	// size/min(dims) of them (= max(rows, cols) in 2-D, matching Plan2D's
-	// historical cap), so more workers than that could never all run.
+	// size/min(dims) of them (= max(rows, cols) in 2-D), so more workers
+	// than that could never all run.
 	if m := size / minPositive(dims); workers > m {
 		workers = m
 	}
@@ -139,10 +144,10 @@ func (p *PlanND) apply(dst, src []float64, forward bool) {
 	if &dst[0] != &src[0] {
 		copy(dst, src)
 	}
-	// Passes run from the last axis to the first — the order Plan2D
-	// established (rows along the last axis first, then columns), which the
-	// 2-D bit-identity pins rely on. The length-1 orthonormal DCT is the
-	// exact identity (bit-for-bit), so degenerate axes skip their pass.
+	// Passes run from the last axis to the first — in 2-D, rows along the
+	// last axis first, then columns — which the 2-D bit-identity pins rely
+	// on. The length-1 orthonormal DCT is the exact identity (bit-for-bit),
+	// so degenerate axes skip their pass.
 	for k := len(p.dims) - 1; k >= 0; k-- {
 		n := p.dims[k]
 		if n <= 1 {

@@ -104,8 +104,39 @@ func TestPlanNDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanNDMatchesPlan2D: the 2-axis PlanND and Plan2D are the same
-// transform bit for bit (Plan2D delegates, so this pins the wiring).
+// rowColumnSweep is the pre-ND 2-D transform: a 1-D plan over every row,
+// then a 1-D plan over every column.
+func rowColumnSweep(src []float64, rows, cols int, forward bool) []float64 {
+	out := append([]float64(nil), src...)
+	apply := func(p *Plan, dst, src []float64) {
+		if forward {
+			p.Forward(dst, src)
+		} else {
+			p.Inverse(dst, src)
+		}
+	}
+	rp := NewPlan(cols)
+	for r := 0; r < rows; r++ {
+		row := out[r*cols : (r+1)*cols]
+		apply(rp, row, row)
+	}
+	cp := NewPlan(rows)
+	col := make([]float64, rows)
+	for c := 0; c < cols; c++ {
+		for r := 0; r < rows; r++ {
+			col[r] = out[r*cols+c]
+		}
+		apply(cp, col, col)
+		for r := 0; r < rows; r++ {
+			out[r*cols+c] = col[r]
+		}
+	}
+	return out
+}
+
+// TestPlanNDMatchesPlan2D: a 2-axis PlanND is the pre-ND 2-D plan's
+// row-then-column sweep bit for bit, serial and sharded — the property the
+// cs golden fixtures, captured on the 2-D solver, rely on.
 func TestPlanNDMatchesPlan2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	rows, cols := 48, 96 // above the serial floor so workers engage
@@ -113,16 +144,20 @@ func TestPlanNDMatchesPlan2D(t *testing.T) {
 	for i := range src {
 		src[i] = rng.NormFloat64()
 	}
-	for _, workers := range []int{1, 3} {
-		nd := NewPlanNDWorkers([]int{rows, cols}, workers)
-		p2 := NewPlan2DWorkers(rows, cols, workers)
-		a := make([]float64, len(src))
-		b := make([]float64, len(src))
-		nd.Forward(a, src)
-		p2.Forward(b, src)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers %d: forward [%d] %g != %g", workers, i, a[i], b[i])
+	for _, forward := range []bool{true, false} {
+		want := rowColumnSweep(src, rows, cols, forward)
+		for _, workers := range []int{1, 3} {
+			nd := NewPlanNDWorkers([]int{rows, cols}, workers)
+			got := make([]float64, len(src))
+			if forward {
+				nd.Forward(got, src)
+			} else {
+				nd.Inverse(got, src)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("workers %d forward=%v: [%d] %g != %g", workers, forward, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -33,11 +33,21 @@ const maxEntries = 1 << 20
 type Cache struct {
 	quantum float64
 
-	mu sync.RWMutex
-	m  map[string]float64
+	mu      sync.RWMutex
+	m       map[string]float64
+	pending map[string]*flight // keys an engine batch is executing now
 
 	hits   atomic.Int64
 	misses atomic.Int64
+}
+
+// flight is one in-progress execution of a key. Engine batches that miss a
+// key another batch is already executing wait on done instead of executing
+// it again; ok is false when the executing batch failed without a value.
+type flight struct {
+	done chan struct{}
+	v    float64
+	ok   bool
 }
 
 // NewCache builds a cache with the given quantization step (<= 0 selects
@@ -95,6 +105,39 @@ func (c *Cache) lookup(k string) (float64, bool) {
 	return v, ok
 }
 
+// claim resolves a key that was not stored at peek time. It returns the
+// stored value when one has appeared since (f == nil); otherwise the flight
+// executing the key, which the caller owns and must finish when own is true.
+func (c *Cache) claim(k string) (v float64, f *flight, own bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[k]; ok {
+		return v, nil, false
+	}
+	if f, ok := c.pending[k]; ok {
+		return 0, f, false
+	}
+	if c.pending == nil {
+		c.pending = make(map[string]*flight)
+	}
+	f = &flight{done: make(chan struct{})}
+	c.pending[k] = f
+	return 0, f, true
+}
+
+// finish ends an owned flight: on success it stores v (unless the cache is
+// full); either way it releases the flight's waiters.
+func (c *Cache) finish(k string, f *flight, v float64, ok bool) {
+	c.mu.Lock()
+	if ok && len(c.m) < maxEntries {
+		c.m[k] = v
+	}
+	delete(c.pending, k)
+	c.mu.Unlock()
+	f.v, f.ok = v, ok
+	close(f.done)
+}
+
 // store records a value for a key, unless the cache is full.
 func (c *Cache) store(k string, v float64) {
 	c.mu.Lock()
@@ -128,7 +171,8 @@ func (c *Cache) Store(params []float64, v float64) {
 }
 
 // Hits returns the number of lookups served without an execution — stored
-// entries plus intra-batch duplicates of a pending point.
+// entries, intra-batch duplicates of a pending point, and points another
+// concurrent batch was already executing.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
 // Misses returns the number of lookups that fell through to execution.

@@ -15,8 +15,10 @@
 //   - Context cancellation: a canceled ctx stops the run between chunks and
 //     the engine returns ctx.Err().
 //   - Optional memoization: with a Cache, quantized parameter vectors are
-//     executed at most once — across calls and within a batch — so
-//     optimizers re-visiting stencil points and ZNE sweeps never pay twice.
+//     executed at most once — across calls, within a batch and across
+//     concurrent batches sharing the cache — so optimizers re-visiting
+//     stencil points, ZNE sweeps and overlapping service jobs never pay
+//     twice.
 package exec
 
 import (
@@ -146,66 +148,138 @@ func (e *Engine) EvaluateBatch(ctx context.Context, params [][]float64) ([]float
 		return results, nil
 	}
 
-	// Cache pass: satisfy hits immediately and deduplicate the misses so
-	// each distinct point is executed once even within a single batch.
-	// Points whose coordinates cannot be quantized into a collision-free
-	// key (NaN, ±Inf, beyond the int64-safe range) bypass the cache: they
-	// always execute and are never stored or deduplicated, so a degenerate
-	// coordinate can never alias a legitimate cached point.
-	work := make([][]float64, 0, n)  // unique points to execute
-	workPos := make([][]int, 0, n)   // result positions per unique point
-	workKeys := make([]string, 0, n) // cache keys per unique point
-	workOK := make([]bool, 0, n)     // whether the point is cacheable
-	seen := make(map[string]int, n)
-	for i, p := range params {
-		k, kok := c.key(p)
-		if !kok {
-			c.misses.Add(1)
-			work = append(work, p)
-			workPos = append(workPos, []int{i})
-			workKeys = append(workKeys, "")
-			workOK = append(workOK, false)
-			continue
-		}
-		if v, ok := c.peek(k); ok {
-			c.hits.Add(1)
-			results[i] = v
-			continue
-		}
-		if j, ok := seen[k]; ok {
-			// Duplicate of a pending point in this batch: served by its
-			// single execution, so it counts as a hit.
-			c.hits.Add(1)
-			workPos[j] = append(workPos[j], i)
-			continue
-		}
-		c.misses.Add(1)
-		seen[k] = len(work)
-		work = append(work, p)
-		workPos = append(workPos, []int{i})
-		workKeys = append(workKeys, k)
-		workOK = append(workOK, true)
-	}
-	span.SetAttr("cache_hits", n-len(work))
-	span.SetAttr("executed", len(work))
-	if len(work) == 0 {
-		return results, nil
-	}
-
-	values := make([]float64, len(work))
-	if err := e.run(ctx, work, values); err != nil {
+	executed, err := e.evaluateCached(ctx, c, params, results)
+	span.SetAttr("cache_hits", n-executed)
+	span.SetAttr("executed", executed)
+	if err != nil {
 		span.SetError(err)
 		return nil, err
 	}
-	for j, v := range values {
-		if workOK[j] {
-			c.store(workKeys[j], v)
+	return results, nil
+}
+
+// pendingPoint is one distinct point of a cache pass: its key, the flight
+// executing it (nil for an uncacheable point) and the result positions it
+// serves.
+type pendingPoint struct {
+	key string
+	f   *flight
+	pos []int
+}
+
+// evaluateCached fills results through cache c and returns how many points
+// it executed. A pass serves stored points immediately and deduplicates the
+// rest, so each distinct point executes once: within the batch, and across
+// concurrent batches, since a point another batch is already executing is
+// waited for and counted as a hit instead (in-flight coalescing). Waits
+// start only after the batch's own work has run and released its waiters,
+// so batches waiting on each other cannot deadlock, and canceling ctx ends
+// the wait without touching the other batch's execution. Points whose
+// executing batch failed go round again in the next pass.
+//
+// Points whose coordinates cannot be quantized into a collision-free key
+// (NaN, ±Inf, beyond the int64-safe range) bypass the cache: they always
+// execute and are never stored or deduplicated, so a degenerate coordinate
+// can never alias a legitimate cached point.
+func (e *Engine) evaluateCached(ctx context.Context, c *Cache, params [][]float64, results []float64) (executed int, err error) {
+	todo := make([]int, len(params))
+	for i := range todo {
+		todo[i] = i
+	}
+	for len(todo) > 0 {
+		var work, waits []pendingPoint
+		// seen maps a key to its index in work, or ^index in waits.
+		seen := make(map[string]int, len(todo))
+		for _, i := range todo {
+			k, kok := c.key(params[i])
+			if !kok {
+				c.misses.Add(1)
+				work = append(work, pendingPoint{pos: []int{i}})
+				continue
+			}
+			if j, ok := seen[k]; ok {
+				if j >= 0 {
+					// Duplicate of a point this batch executes: served by
+					// its single execution, so it counts as a hit.
+					c.hits.Add(1)
+					work[j].pos = append(work[j].pos, i)
+				} else {
+					waits[^j].pos = append(waits[^j].pos, i)
+				}
+				continue
+			}
+			if v, ok := c.peek(k); ok {
+				c.hits.Add(1)
+				results[i] = v
+				continue
+			}
+			switch v, f, own := c.claim(k); {
+			case f == nil:
+				c.hits.Add(1)
+				results[i] = v
+			case own:
+				c.misses.Add(1)
+				seen[k] = len(work)
+				work = append(work, pendingPoint{key: k, f: f, pos: []int{i}})
+			default:
+				seen[k] = ^len(waits)
+				waits = append(waits, pendingPoint{key: k, f: f, pos: []int{i}})
+			}
 		}
-		for _, i := range workPos[j] {
-			results[i] = v
+		executed += len(work)
+		if err := e.runPending(ctx, c, params, work, results); err != nil {
+			return executed, err
+		}
+		todo = todo[:0]
+		for _, w := range waits {
+			select {
+			case <-w.f.done:
+			case <-ctx.Done():
+				return executed, ctx.Err()
+			}
+			if !w.f.ok {
+				todo = append(todo, w.pos...)
+				continue
+			}
+			c.hits.Add(int64(len(w.pos)))
+			for _, i := range w.pos {
+				results[i] = w.f.v
+			}
 		}
 	}
-	return results, nil
+	return executed, nil
+}
+
+// runPending executes the batch's own points, writes their results and
+// finishes their flights — as failed if the run did not complete, so that
+// waiting batches execute those points themselves.
+func (e *Engine) runPending(ctx context.Context, c *Cache, params [][]float64, work []pendingPoint, results []float64) error {
+	if len(work) == 0 {
+		return nil
+	}
+	pts := make([][]float64, len(work))
+	for j, w := range work {
+		pts[j] = params[w.pos[0]]
+	}
+	values := make([]float64, len(work))
+	done := false
+	defer func() {
+		for j, w := range work {
+			if w.f != nil {
+				c.finish(w.key, w.f, values[j], done)
+			}
+		}
+	}()
+	if err := e.run(ctx, pts, values); err != nil {
+		return err
+	}
+	done = true
+	for j, w := range work {
+		for _, i := range w.pos {
+			results[i] = values[j]
+		}
+	}
+	return nil
 }
 
 // run executes work into values (index-aligned) on the worker pool: each

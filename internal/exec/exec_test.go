@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/backend"
 	"repro/internal/shard"
@@ -150,6 +151,171 @@ func TestEngineCacheDedupWithinBatch(t *testing.T) {
 		if v != want {
 			t.Fatalf("result %d = %g, want %g", i, v, want)
 		}
+	}
+}
+
+// gatedEval is an evaluator whose executions block until release is closed;
+// started receives once per execution, and fail makes the first execution
+// return an error.
+type gatedEval struct {
+	execs   atomic.Int64
+	started chan struct{}
+	release chan struct{}
+	fail    bool
+}
+
+func newGatedEval(fail bool) *gatedEval {
+	return &gatedEval{started: make(chan struct{}, 64), release: make(chan struct{}), fail: fail}
+}
+
+func (g *gatedEval) eval(p []float64) (float64, error) {
+	n := g.execs.Add(1)
+	g.started <- struct{}{}
+	<-g.release
+	if g.fail && n == 1 {
+		return 0, errors.New("first execution failed")
+	}
+	return costOf(p), nil
+}
+
+// await receives from ch or fails the test after a generous limit, so a
+// coalescing bug shows as a failure rather than a hung test binary.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
+	}
+}
+
+// TestEngineCacheCoalescesConcurrentBatches: batches that miss a point while
+// another batch is executing it wait for that execution instead of running
+// it again, and count as hits.
+func TestEngineCacheCoalescesConcurrentBatches(t *testing.T) {
+	ev := newGatedEval(false)
+	cache := NewCache(0)
+	en := New(Lift(ev.eval), Options{Workers: 2, Cache: cache})
+	p := []float64{0.25, -0.5}
+	const n = 8
+	vals := make(chan float64, n)
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			v, err := en.EvaluateBatch(context.Background(), [][]float64{{p[0], p[1]}})
+			if err != nil {
+				errs <- err
+				return
+			}
+			vals <- v[0]
+		}()
+		if i == 0 {
+			await(t, ev.started, "the first execution")
+		}
+	}
+	// Give the other batches time to reach the pending point; one that
+	// arrives after the release finds it stored, which is a hit as well.
+	time.Sleep(20 * time.Millisecond)
+	close(ev.release)
+	for i := 0; i < n; i++ {
+		select {
+		case v := <-vals:
+			if v != costOf(p) {
+				t.Fatalf("value %g, want %g", v, costOf(p))
+			}
+		case err := <-errs:
+			t.Fatal(err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("timed out waiting for the batches")
+		}
+	}
+	if got := ev.execs.Load(); got != 1 {
+		t.Fatalf("%d concurrent batches executed the point %d times, want 1", n, got)
+	}
+	if cache.Misses() != 1 || cache.Hits() != n-1 {
+		t.Fatalf("hits=%d misses=%d, want %d/1", cache.Hits(), cache.Misses(), n-1)
+	}
+}
+
+// TestEngineCacheWaiterCancelKeepsExecutor: canceling a batch that waits on
+// another batch's execution returns its ctx error and leaves the executing
+// batch to finish and store the value.
+func TestEngineCacheWaiterCancelKeepsExecutor(t *testing.T) {
+	ev := newGatedEval(false)
+	cache := NewCache(0)
+	en := New(Lift(ev.eval), Options{Workers: 1, Cache: cache})
+	p := []float64{0.25, -0.5}
+	owner := make(chan error, 1)
+	go func() {
+		_, err := en.EvaluateBatch(context.Background(), [][]float64{p})
+		owner <- err
+	}()
+	await(t, ev.started, "the owner's execution")
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := en.EvaluateBatch(ctx, [][]float64{p})
+		waiter <- err
+	}()
+	cancel()
+	if err := await(t, waiter, "the canceled waiter"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter err = %v, want context.Canceled", err)
+	}
+	close(ev.release)
+	if err := await(t, owner, "the owner"); err != nil {
+		t.Fatalf("owner failed after a waiter was canceled: %v", err)
+	}
+	if v, ok := cache.Lookup(p); !ok || v != costOf(p) {
+		t.Fatalf("owner's value not stored: %g, %v", v, ok)
+	}
+	if got := ev.execs.Load(); got != 1 {
+		t.Fatalf("point executed %d times, want 1", got)
+	}
+}
+
+// TestEngineCacheWaiterRunsFailedFlight: when the executing batch fails, a
+// batch waiting on its point executes the point itself.
+func TestEngineCacheWaiterRunsFailedFlight(t *testing.T) {
+	ev := newGatedEval(true)
+	cache := NewCache(0)
+	en := New(Lift(ev.eval), Options{Workers: 1, Cache: cache})
+	p := []float64{0.25, -0.5}
+	owner := make(chan error, 1)
+	go func() {
+		_, err := en.EvaluateBatch(context.Background(), [][]float64{p})
+		owner <- err
+	}()
+	await(t, ev.started, "the owner's execution")
+	type result struct {
+		v   []float64
+		err error
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		v, err := en.EvaluateBatch(context.Background(), [][]float64{p, p})
+		waiter <- result{v, err}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	close(ev.release)
+	if err := await(t, owner, "the owner"); err == nil {
+		t.Fatal("owner's failed execution returned no error")
+	}
+	r := await(t, waiter, "the waiter")
+	if r.err != nil {
+		t.Fatalf("waiter inherited the owner's failure: %v", r.err)
+	}
+	if r.v[0] != costOf(p) || r.v[1] != costOf(p) {
+		t.Fatalf("waiter values %v, want %g", r.v, costOf(p))
+	}
+	if got := ev.execs.Load(); got != 2 {
+		t.Fatalf("point executed %d times, want 2 (failed owner, then waiter)", got)
+	}
+	// Each lookup is counted once: two executions, and the waiter's
+	// duplicate served by its own execution.
+	if cache.Misses() != 2 || cache.Hits() != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/2", cache.Hits(), cache.Misses())
 	}
 }
 

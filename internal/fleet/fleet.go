@@ -5,21 +5,22 @@
 //
 // Three ideas compose:
 //
-//   - Adaptive batch sizing. qpu.RunBatched amortizes one queue delay per
-//     batch but takes the batch size as a caller-fixed argument. The fleet
-//     scheduler instead learns a per-device size online: every completed
-//     batch reports its queue/execution decomposition (the split real cloud
-//     QPUs expose through queue timestamps), the scheduler maintains an
-//     EWMA of the queue/exec-per-job ratio, and the next batch for that
-//     device carries Aggressiveness×ratio jobs — enough to amortize the
-//     queue delay without turning the device into a straggler.
+//   - Adaptive batch sizing. A batch pays one queue delay for all its jobs
+//     (Section 5's amortization). Options.FixedBatch pins one caller-chosen
+//     size on every device; by default the scheduler instead learns a
+//     per-device size online: every completed batch reports its
+//     queue/execution decomposition (the split real cloud QPUs expose
+//     through queue timestamps), the scheduler maintains an EWMA of the
+//     queue/exec-per-job ratio, and the next batch for that device carries
+//     Aggressiveness×ratio jobs — enough to amortize the queue delay
+//     without turning the device into a straggler.
 //
 //   - Streaming eager reconstruction. Completed batches feed a
 //     core.Incremental accumulator; as sample coverage crosses the
 //     configured thresholds the compressed-sensing solve is re-triggered,
 //     warm-started from the previous solution, and a batch-boundary eager
-//     cut (qpu.EagerCutBatched's policy) drops tail-latency batches
-//     entirely.
+//     cut (Options.KeepFraction, placed by qpu.BatchTimeoutForFraction)
+//     drops tail-latency batches entirely.
 //
 //   - A shared execution cache. With Options.Cache set, sampled points that
 //     some earlier run already measured are served instantly — before any
@@ -288,9 +289,11 @@ type Scheduler struct {
 	devices []qpu.Device
 	opt     Options
 
-	mu        sync.Mutex
-	states    []devState
-	serialRng *rand.Rand
+	mu     sync.Mutex
+	states []devState
+	// baselineRng drives the one-device no-batching SerialTime baseline
+	// from its own stream, so it never perturbs the scheduling draws.
+	baselineRng *rand.Rand
 	// meanBatch is an EWMA of non-tail batch durations across the whole
 	// fleet — the "typical batch" yardstick the risk-aware tail caps are
 	// expressed against.
@@ -319,10 +322,10 @@ func New(opt Options, devices ...qpu.Device) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{
-		devices:   devices,
-		opt:       opt,
-		states:    make([]devState, len(devices)),
-		serialRng: rand.New(rand.NewSource(opt.Seed - 1)),
+		devices:     devices,
+		opt:         opt,
+		states:      make([]devState, len(devices)),
+		baselineRng: rand.New(rand.NewSource(opt.Seed - 1)),
 	}
 	first := opt.InitialBatch
 	if opt.FixedBatch > 0 {
@@ -507,8 +510,8 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 	defer s.mu.Unlock()
 	out := &planOutcome{}
 
-	// Serial baseline: the shared one-device no-batching baseline
-	// qpu.RunBatched also reports, so Speedup stays comparable.
+	// Serial baseline: one reference device running every job on its own,
+	// back to back, so Speedup covers parallelism and queue amortization.
 	const maxAttempts = 8
 	// The consecutive-failure budget for one batch scales with fleet size
 	// (each failure already moves the work to a different device), and the
@@ -522,7 +525,7 @@ func (s *Scheduler) plan(g *landscape.Grid, indices []int, cache *exec.Cache) (*
 	if s.opt.RiskAware {
 		budget *= 4
 	}
-	out.serial = qpu.SerialBaseline(s.devices[0], s.serialRng, len(indices))
+	out.serial = qpu.SerialBaseline(s.devices[0], s.baselineRng, len(indices))
 
 	// Cache probe: points an earlier run already measured are served at
 	// virtual time zero, before any device pays queue latency. Lookup
@@ -761,8 +764,8 @@ func (s *Scheduler) shareLocked(d int) float64 {
 // the work) becomes available — so a slow device stops receiving work the
 // moment a faster one would finish the same batch sooner, instead of being
 // fed by virtue of being idle. Unobserved devices count as instant, which
-// probes every device early. Fixed-batch mode keeps qpu.RunBatched's
-// earliest-free policy — it is the status-quo baseline. fixedK > 0 estimates
+// probes every device early. Fixed-batch mode sends each batch to the
+// earliest-free device — the status-quo baseline. fixedK > 0 estimates
 // for a batch of exactly that size (failure retries, where the batch content
 // is already set); otherwise each candidate is judged by the size it would
 // itself carry. Ties go to the lowest index, keeping plans deterministic.

@@ -1,38 +1,86 @@
-package qpu
+package qpu_test
+
+// Batched runs of qpu devices: fleet.Scheduler is the one batch dispatcher,
+// and its fixed-batch mode is the paper's Section 5 amortization (one queue
+// delay per batch instead of one per job). These tests drive it over qpu
+// devices, latency models and scenarios.
 
 import (
 	"context"
-	"errors"
 	"testing"
+
+	"repro/internal/backend"
+	"repro/internal/fleet"
+	"repro/internal/landscape"
+	"repro/internal/qpu"
 )
 
-// TestRunBatchedValuesAndAmortization checks batch jobs return the same
-// measured values as single-job scheduling while amortizing queue latency
-// into a shorter makespan.
-func TestRunBatchedValuesAndAmortization(t *testing.T) {
-	g := testGrid(t)
-	lat := LatencyModel{QueueMedian: 60, Sigma: 0.4, Exec: 1}
-	ex, err := NewExecutor(5,
-		Device{Name: "a", Eval: evalFunc("a"), Latency: lat},
-		Device{Name: "b", Eval: evalFunc("b"), Latency: lat},
+func batchGrid(t *testing.T) *landscape.Grid {
+	t.Helper()
+	g, err := landscape.NewGrid(
+		landscape.Axis{Name: "x", Min: -1, Max: 1, N: 10},
+		landscape.Axis{Name: "y", Min: -1, Max: 1, N: 10},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indices := make([]int, g.Size())
-	for i := range indices {
-		indices[i] = i
+	return g
+}
+
+func batchEval(label string) backend.Evaluator {
+	return &backend.Func{Label: label, Params: 2, F: func(p []float64) (float64, error) {
+		return p[0]*p[0] + p[1], nil
+	}}
+}
+
+func firstN(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// TestRunBatchedValuesAndAmortization checks that fixed-size batches carry
+// the same measured values as single-job scheduling on Executor.Run while
+// amortizing queue latency into a shorter makespan.
+func TestRunBatchedValuesAndAmortization(t *testing.T) {
+	g := batchGrid(t)
+	lat := qpu.LatencyModel{QueueMedian: 60, Sigma: 0.4, Exec: 1}
+	devs := []qpu.Device{
+		{Name: "a", Eval: batchEval("a"), Latency: lat},
+		{Name: "b", Eval: batchEval("b"), Latency: lat},
+	}
+	indices := firstN(g.Size())
+	ex, err := qpu.NewExecutor(5, devs...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	single, err := ex.Run(g, indices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := ex.RunBatched(context.Background(), g, indices, 10)
+	const k = 7
+	s, err := fleet.New(fleet.Options{Seed: 5, FixedBatch: k}, devs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batched, err := s.Run(context.Background(), g, indices)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batched.Results) != len(indices) {
 		t.Fatalf("%d results want %d", len(batched.Results), len(indices))
+	}
+	// Every batch carries k jobs except one remainder.
+	odd := 0
+	for _, b := range batched.Batches {
+		if b.Size != k {
+			odd++
+		}
+	}
+	if odd > 1 || len(batched.Batches) != (len(indices)+k-1)/k {
+		t.Fatalf("fixed batch %d: %d groups, %d not of size %d", k, len(batched.Batches), odd, k)
 	}
 	// Same measured values per index (time is simulated, values are real).
 	want := map[int]float64{}
@@ -40,11 +88,11 @@ func TestRunBatchedValuesAndAmortization(t *testing.T) {
 		want[r.Index] = r.Value
 	}
 	for _, r := range batched.Results {
-		if r.Value != want[r.Index] {
-			t.Fatalf("index %d: batched value %g, single-job value %g", r.Index, r.Value, want[r.Index])
+		if v, ok := want[r.Index]; !ok || r.Value != v {
+			t.Fatalf("index %d: batched value %g, single-job value %g", r.Index, r.Value, v)
 		}
 	}
-	// 100 jobs on 2 devices: 50 queue waits each unbatched, 5 batched.
+	// 100 jobs on 2 devices: 50 queue waits each unbatched, about 7 batched.
 	if batched.Makespan >= single.Makespan/2 {
 		t.Fatalf("batching did not amortize queue latency: batched makespan %g vs single %g",
 			batched.Makespan, single.Makespan)
@@ -57,111 +105,60 @@ func TestRunBatchedValuesAndAmortization(t *testing.T) {
 	}
 }
 
-func TestRunBatchedDeterministic(t *testing.T) {
-	g := testGrid(t)
-	indices := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	// Reproducibility is across executors built with the same seed: one
-	// executor's stream advances between calls (see
-	// TestRunBatchedAdvancesStreamAcrossCalls).
-	run := func() *RunReport {
-		ex, _ := NewExecutor(9, Device{Name: "a", Eval: evalFunc("a"), Latency: DefaultLatency()})
-		r, err := ex.RunBatched(context.Background(), g, indices, 3)
+// TestRunBatchedSurvivesDropout: one device is dark for the whole run and
+// the scheduler is not risk-aware, so every batch first tried there must be
+// rescheduled, and the run must still deliver every job.
+func TestRunBatchedSurvivesDropout(t *testing.T) {
+	g, ev := batchGrid(t), batchEval("chaos")
+	lat := qpu.LatencyModel{QueueMedian: 20, Sigma: 0.3, Exec: 2}
+	indices := firstN(60)
+	for _, fixedBatch := range []int{10, 0} {
+		s, err := fleet.New(fleet.Options{Seed: 11, FixedBatch: fixedBatch},
+			qpu.Device{Name: "dark", Eval: ev, Latency: lat, Scenario: qpu.Dropout{Start: 0, Duration: 1e9}},
+			qpu.Device{Name: "ok", Eval: ev, Latency: lat},
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		rep, err := s.Run(context.Background(), g, indices)
+		if err != nil {
+			t.Fatalf("fixed batch %d under dropout: %v", fixedBatch, err)
+		}
+		if len(rep.Results) != len(indices) {
+			t.Fatalf("fixed batch %d: %d results, want %d", fixedBatch, len(rep.Results), len(indices))
+		}
+		if rep.Retries == 0 {
+			t.Fatalf("fixed batch %d: no retries from the dark device", fixedBatch)
+		}
+		if rep.PerDevice[0] != 0 {
+			t.Fatalf("fixed batch %d: dark device completed %d jobs", fixedBatch, rep.PerDevice[0])
+		}
+	}
+}
+
+// TestRunBatchedScenarioDeterministic: queue spikes and a retry storm are
+// drawn from their own seeds, so two same-seed schedulers replay the same
+// batched run.
+func TestRunBatchedScenarioDeterministic(t *testing.T) {
+	g, ev := batchGrid(t), batchEval("chaos")
+	lat := qpu.LatencyModel{QueueMedian: 20, Sigma: 0.5, Exec: 2, TailProb: 0.05, TailFactor: 15}
+	run := func() *qpu.RunReport {
+		s, err := fleet.New(fleet.Options{Seed: 17, FixedBatch: 8},
+			qpu.Device{Name: "a", Eval: ev, Latency: lat, Scenario: qpu.NewQueueSpikes(5, 300, 80, 8)},
+			qpu.Device{Name: "b", Eval: ev, Latency: lat, Scenario: qpu.NewRetryStorm(6, 250, 60, 0.7)},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Run(context.Background(), g, firstN(80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
 	r1, r2 := run(), run()
-	if r1.Makespan != r2.Makespan || r1.SerialTime != r2.SerialTime {
-		t.Fatalf("virtual time not reproducible: %g/%g vs %g/%g",
-			r1.Makespan, r1.SerialTime, r2.Makespan, r2.SerialTime)
-	}
-	for i := range r1.Results {
-		if r1.Results[i] != r2.Results[i] {
-			t.Fatalf("result %d differs across runs", i)
-		}
-	}
-}
-
-// TestRunBatchedAdvancesStreamAcrossCalls is the regression test for the
-// replayed-RNG bug: successive RunBatched calls on one executor used to
-// rebuild the RNG from the seed and draw identical latencies. A persistent
-// executor must see fresh queue dynamics per run (values stay identical —
-// only virtual time is random).
-func TestRunBatchedAdvancesStreamAcrossCalls(t *testing.T) {
-	g := testGrid(t)
-	ex, _ := NewExecutor(9, Device{Name: "a", Eval: evalFunc("a"), Latency: DefaultLatency()})
-	indices := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	r1, err := ex.RunBatched(context.Background(), g, indices, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ex.RunBatched(context.Background(), g, indices, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Makespan == r2.Makespan && r1.SerialTime == r2.SerialTime {
-		t.Fatalf("two runs on one executor replayed identical latency draws: makespan %g, serial %g",
-			r1.Makespan, r1.SerialTime)
-	}
-	for i := range r1.Results {
-		if r1.Results[i].Index != r2.Results[i].Index ||
-			r1.Results[i].Value != r2.Results[i].Value {
-			t.Fatalf("measured values changed across runs: %+v vs %+v", r1.Results[i], r2.Results[i])
-		}
-	}
-}
-
-func TestRunBatchedFailureReschedules(t *testing.T) {
-	g := testGrid(t)
-	ex, err := NewExecutor(31,
-		Device{Name: "flaky", Eval: evalFunc("f"), Latency: DefaultLatency(), FailureProb: 0.9},
-		Device{Name: "solid", Eval: evalFunc("s"), Latency: DefaultLatency()},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indices := make([]int, 40)
-	for i := range indices {
-		indices[i] = i
-	}
-	rep, err := ex.RunBatched(context.Background(), g, indices, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Retries == 0 {
-		t.Fatal("no retries recorded at 90% failure probability")
-	}
-	if len(rep.Results) != len(indices) {
-		t.Fatalf("%d results want %d", len(rep.Results), len(indices))
-	}
-}
-
-func TestRunBatchedCancellation(t *testing.T) {
-	g := testGrid(t)
-	ex, _ := NewExecutor(1, Device{Name: "a", Eval: evalFunc("a"), Latency: DefaultLatency()})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ex.RunBatched(ctx, g, []int{0, 1, 2}, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunBatchedDefaultBatchSize(t *testing.T) {
-	g := testGrid(t)
-	ex, _ := NewExecutor(2, Device{Name: "a", Eval: evalFunc("a"), Latency: DefaultLatency()})
-	indices := make([]int, 17)
-	for i := range indices {
-		indices[i] = i
-	}
-	rep, err := ex.RunBatched(context.Background(), g, indices, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 17 {
-		t.Fatalf("%d results want 17", len(rep.Results))
-	}
-	if _, err := ex.RunBatched(context.Background(), g, nil, 0); err == nil {
-		t.Fatal("want error for empty job list")
+	if r1.Makespan != r2.Makespan || r1.Retries != r2.Retries || len(r1.Batches) != len(r2.Batches) {
+		t.Fatalf("scenario run not reproducible: makespan %g/%g retries %d/%d batches %d/%d",
+			r1.Makespan, r2.Makespan, r1.Retries, r2.Retries, len(r1.Batches), len(r2.Batches))
 	}
 }

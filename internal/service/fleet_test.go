@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fleetJob is a fast fleet-mode job: three heterogeneous virtual devices
@@ -341,8 +343,8 @@ func TestPromLabelEscaping(t *testing.T) {
 		"ctrl\x00\x7f": "ctrl  ",
 		"unicode-µ":    "unicode-µ",
 	} {
-		if got := promLabel(in); got != want {
-			t.Errorf("promLabel(%q) = %q, want %q", in, got, want)
+		if got := obs.EscapeLabel(in); got != want {
+			t.Errorf("EscapeLabel(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

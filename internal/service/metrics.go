@@ -74,7 +74,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	gauge("oscard_build_info", "Build information; value is always 1.", func(b *strings.Builder) {
 		fmt.Fprintf(b, "oscard_build_info{go_version=%q,revision=%q} 1\n",
-			promLabel(runtime.Version()), promLabel(buildRevision()))
+			obs.EscapeLabel(runtime.Version()), obs.EscapeLabel(buildRevision()))
 	})
 	gauge("oscard_uptime_seconds", "Seconds since the server started.", func(b *strings.Builder) {
 		fmt.Fprintf(b, "oscard_uptime_seconds %g\n", time.Since(s.start).Seconds())
@@ -143,7 +143,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	perFleet := func(line func(b *strings.Builder, job string, f *fleetRow)) func(b *strings.Builder) {
 		return func(b *strings.Builder) {
 			for i := range fleets {
-				line(b, promLabel(fleets[i].job), &fleets[i])
+				line(b, obs.EscapeLabel(fleets[i].job), &fleets[i])
 			}
 		}
 	}
@@ -156,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			sort.Strings(devices)
 			for _, d := range devices {
 				fmt.Fprintf(b, "oscard_fleet_batch_size{job=\"%s\",device=\"%s\"} %d\n",
-					job, promLabel(d), f.progress.Devices[d])
+					job, obs.EscapeLabel(d), f.progress.Devices[d])
 			}
 		}))
 	gauge("oscard_fleet_samples_done", "Samples merged into the streaming reconstruction.",
@@ -182,13 +182,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("oscard_fleet_tail_prob", "Learned per-device tail-event probability of running fleet jobs.",
 		perFleet(func(b *strings.Builder, job string, f *fleetRow) {
 			for _, ds := range f.states {
-				fmt.Fprintf(b, "oscard_fleet_tail_prob{job=\"%s\",device=\"%s\"} %g\n", job, promLabel(ds.Name), ds.TailProb)
+				fmt.Fprintf(b, "oscard_fleet_tail_prob{job=\"%s\",device=\"%s\"} %g\n", job, obs.EscapeLabel(ds.Name), ds.TailProb)
 			}
 		}))
 	gauge("oscard_fleet_fail_rate", "Learned per-device dispatch-failure rate of running fleet jobs.",
 		perFleet(func(b *strings.Builder, job string, f *fleetRow) {
 			for _, ds := range f.states {
-				fmt.Fprintf(b, "oscard_fleet_fail_rate{job=\"%s\",device=\"%s\"} %g\n", job, promLabel(ds.Name), ds.FailRate)
+				fmt.Fprintf(b, "oscard_fleet_fail_rate{job=\"%s\",device=\"%s\"} %g\n", job, obs.EscapeLabel(ds.Name), ds.FailRate)
 			}
 		}))
 	gauge("oscard_fleet_quarantined", "Whether a device of a running fleet job is currently benched.",
@@ -198,7 +198,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				if ds.Quarantined {
 					quarantined = 1
 				}
-				fmt.Fprintf(b, "oscard_fleet_quarantined{job=\"%s\",device=\"%s\"} %d\n", job, promLabel(ds.Name), quarantined)
+				fmt.Fprintf(b, "oscard_fleet_quarantined{job=\"%s\",device=\"%s\"} %d\n", job, obs.EscapeLabel(ds.Name), quarantined)
 			}
 		}))
 
@@ -225,13 +225,4 @@ func buildRevision() string {
 		}
 	}
 	return "unknown"
-}
-
-// promLabel escapes a label value for the Prometheus text format, which
-// permits exactly three escape sequences inside quoted values: \\, \", and
-// \n. Go's %q would emit \t, \xNN, and \uNNNN forms that parsers reject, so
-// the value is built by hand; other control characters (user-supplied device
-// names are arbitrary JSON strings) are replaced with spaces.
-func promLabel(v string) string {
-	return obs.EscapeLabel(v)
 }

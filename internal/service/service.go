@@ -425,21 +425,24 @@ type cacheStats struct {
 	Misses int64  `json:"misses"`
 }
 
+// recentJobs is how many of the newest tracked jobs /stats lists in full;
+// older jobs only count toward the totals.
+const recentJobs = 32
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	s.mu.Lock()
 	counts := map[JobState]int{}
-	recent := make([]jobJSON, 0, len(s.order))
 	for _, id := range s.order {
-		j := s.jobs[id]
-		counts[j.state]++
-		v := j.view(now)
+		counts[s.jobs[id].state]++
+	}
+	total := len(s.order)
+	tail := s.order[max(0, total-recentJobs):]
+	recent := make([]jobJSON, 0, len(tail))
+	for _, id := range tail {
+		v := s.jobs[id].view(now)
 		v.Result = nil
 		recent = append(recent, v)
-	}
-	total := len(recent)
-	if len(recent) > 32 {
-		recent = recent[len(recent)-32:]
 	}
 	caches := make([]cacheStats, 0, len(s.caches))
 	var totalHits, totalMisses int64

@@ -450,6 +450,31 @@ func TestStatsShape(t *testing.T) {
 	if stats["panics"].(float64) != 0 {
 		t.Fatalf("panics %v", stats["panics"])
 	}
+
+	// Past recentJobs tracked jobs, the totals still count every job while
+	// recent lists only the newest 32, oldest first.
+	ids := []string{j["id"].(string)}
+	for len(ids) < 40 {
+		_, out := do(t, s, "POST", "/jobs", smallJob())
+		ids = append(ids, out["id"].(string))
+	}
+	_, stats = do(t, s, "GET", "/stats", "")
+	jobs = stats["jobs"].(map[string]any)
+	if jobs["total"].(float64) != 40 {
+		t.Fatalf("jobs.total %v, want 40", jobs["total"])
+	}
+	if done := jobs["by_state"].(map[string]any)[string(StateDone)]; done != 40.0 {
+		t.Fatalf("by_state done %v, want 40", done)
+	}
+	recent = jobs["recent"].([]any)
+	if len(recent) != 32 {
+		t.Fatalf("recent lists %d jobs, want 32", len(recent))
+	}
+	for i, v := range recent {
+		if id := v.(map[string]any)["id"]; id != ids[8+i] {
+			t.Fatalf("recent[%d] = %v, want %v (newest last)", i, id, ids[8+i])
+		}
+	}
 }
 
 // TestNonFiniteResultEncodes pins the JSON encoding of the NaN/Inf

@@ -1,10 +1,10 @@
 // Package shard is the one place in this module that starts worker
 // goroutines. Every fan-out — the simulators' gate kernels, the solver's
 // element kernels and DCT axis passes, interpolator batch queries, backend
-// batch evaluation, the execution engine's chunk pool, ReconstructMany and
-// the fleet's device workers — runs on Run or ForRange, so every layer
-// splits work on the same boundaries and a panic in any worker reaches the
-// caller as a *PanicError instead of killing the process.
+// batch evaluation, the execution engine's chunk pool and the fleet's device
+// workers — runs on Run or ForRange, so every layer splits work on the same
+// boundaries and a panic in any worker reaches the caller as a *PanicError
+// instead of killing the process.
 //
 // It sits at the bottom of the dependency graph, importing only the
 // standard library.

@@ -197,26 +197,6 @@ func ReconstructFromSamplesContext(ctx context.Context, g *Grid, idx []int, valu
 	return core.ReconstructFromSamplesContext(ctx, g, idx, values, opt)
 }
 
-// Sharded reconstruction types. The solver phase — FISTA over the 2-D DCT —
-// shards its row/column transforms and vector kernels across a worker pool
-// (Options.Workers / SolverOptions.Workers), bit-identically to a serial
-// solve, and ReconstructMany solves whole fleets of independent landscapes
-// concurrently.
-type (
-	// ReconJob is one independent reconstruction (rows, cols, sampled
-	// indices, measured values, solver options).
-	ReconJob = cs.Job
-	// ReconJobResult pairs a ReconJob's result with its error.
-	ReconJobResult = cs.JobResult
-)
-
-// ReconstructMany solves independent reconstruction jobs concurrently with
-// per-job error isolation; results are index-aligned with jobs. A canceled
-// ctx stops in-flight solves and marks unfinished jobs with ctx.Err().
-func ReconstructMany(ctx context.Context, jobs ...ReconJob) []ReconJobResult {
-	return cs.ReconstructMany(ctx, jobs...)
-}
-
 // GenerateDense runs the full grid search OSCAR replaces (ground truth).
 func GenerateDense(g *Grid, eval EvalFunc, workers int) (*Landscape, error) {
 	return landscape.Generate(g, eval, workers)
@@ -595,14 +575,6 @@ func NewRetryStorm(seed int64, spacing, duration, prob float64) *RetryStorm {
 // ComposeScenarios chains scenarios: each one's perturbation feeds the next.
 func ComposeScenarios(scenarios ...Scenario) Scenario {
 	return qpu.Compose(scenarios...)
-}
-
-// EagerCutBatched cuts a run report at a batch boundary: the quantile
-// timeout is taken over whole batch groups, so no partially-paid batch is
-// split. It returns the kept results, the effective timeout, and the time
-// saved versus waiting out the full run.
-func EagerCutBatched(rep *qpu.RunReport, q float64) (kept []qpu.Result, timeout, saved float64) {
-	return qpu.EagerCutBatched(rep, q)
 }
 
 // ClampAngle wraps an angle into [-pi, pi], a convenience for initial
