@@ -114,10 +114,35 @@ func (h *Histogram) snapshot() (counts []int64, total int64, sum float64) {
 	return counts, total, sum
 }
 
-// Registry holds named histogram families for Prometheus export.
+// Counter is a monotonically increasing count, one series per family name.
+// Add and Load are single atomic operations and, like Histogram.Observe,
+// safe on a nil receiver (disabled metrics).
+type Counter struct {
+	name, help string
+	v          atomic.Int64
+}
+
+// Add increments the counter by n.
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
+
+// Load returns the current count (0 for a nil counter).
+func (c *Counter) Load() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
+
+// Registry holds named counters and histogram families for Prometheus
+// export.
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*histFamily
+	mu       sync.Mutex
+	counters map[string]*Counter
+	fams     map[string]*histFamily
 }
 
 type histFamily struct {
@@ -128,7 +153,25 @@ type histFamily struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*histFamily)}
+	return &Registry{counters: make(map[string]*Counter), fams: make(map[string]*histFamily)}
+}
+
+// Counter returns the counter registered under name, creating it on first
+// use with the given help text. A registered counter exports from the first
+// scrape on, at 0 before its first Add. Safe on a nil registry (returns a
+// nil counter, whose Add is a no-op).
+func (r *Registry) Counter(name, help string) *Counter {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, ok := r.counters[name]
+	if !ok {
+		c = &Counter{name: name, help: help}
+		r.counters[name] = c
+	}
+	return c
 }
 
 // Histogram returns the histogram for (name, labels), creating it — and its
@@ -162,24 +205,29 @@ type PromFamily struct {
 	Text string
 }
 
-// Families renders every histogram family in the Prometheus text format,
-// one PromFamily per name, series sorted by label set — deterministic
-// output for stable scrapes and diffable smoke tests.
+// Family renders one metric family of the given type from its sample
+// lines. It is the only writer of # HELP/# TYPE headers: the registry
+// renders its families through it, and so do exporters of scrape-time
+// gauges.
+func Family(name, typ, help, samples string) PromFamily {
+	return PromFamily{Name: name, Text: "# HELP " + name + " " + help + "\n# TYPE " + name + " " + typ + "\n" + samples}
+}
+
+// Families renders every counter and histogram family in the Prometheus
+// text format, one PromFamily per name, sorted by name, with histogram
+// series sorted by label set — deterministic output for stable scrapes and
+// diffable smoke tests.
 func (r *Registry) Families() []PromFamily {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.fams))
-	for n := range r.fams {
-		names = append(names, n)
+	out := make([]PromFamily, 0, len(r.counters)+len(r.fams))
+	for _, c := range r.counters {
+		out = append(out, Family(c.name, "counter", c.help, c.name+" "+strconv.FormatInt(c.Load(), 10)+"\n"))
 	}
-	sort.Strings(names)
-	out := make([]PromFamily, 0, len(names))
-	for _, n := range names {
-		f := r.fams[n]
+	for _, f := range r.fams {
 		var b strings.Builder
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", f.name, f.help, f.name)
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
 			keys = append(keys, k)
@@ -197,9 +245,10 @@ func (r *Registry) Families() []PromFamily {
 			fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, braced(k), formatFloat(sum))
 			fmt.Fprintf(&b, "%s_count%s %d\n", f.name, braced(k), total)
 		}
-		out = append(out, PromFamily{Name: f.name, Text: b.String()})
+		out = append(out, Family(f.name, "histogram", f.help, b.String()))
 	}
 	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

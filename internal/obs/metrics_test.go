@@ -69,12 +69,20 @@ func TestRegistryGetOrCreateAndSortedOutput(t *testing.T) {
 	}
 	r.Histogram("aa_seconds", "a", nil, []float64{1}).Observe(0.5)
 	r.Histogram("zz_seconds", "z", map[string]string{"stage": "a"}, []float64{1})
+	c := r.Counter("mm_total", "m")
+	if r.Counter("mm_total", "m") != c {
+		t.Fatal("same name must return the same counter")
+	}
+	c.Add(3)
 	fams := r.Families()
-	if len(fams) != 2 || fams[0].Name != "aa_seconds" || fams[1].Name != "zz_seconds" {
-		t.Fatalf("families must sort by name: %+v", fams)
+	if len(fams) != 3 || fams[0].Name != "aa_seconds" || fams[1].Name != "mm_total" || fams[2].Name != "zz_seconds" {
+		t.Fatalf("counter and histogram families must sort together by name: %+v", fams)
+	}
+	if want := "# HELP mm_total m\n# TYPE mm_total counter\nmm_total 3\n"; fams[1].Text != want {
+		t.Fatalf("counter family = %q, want %q", fams[1].Text, want)
 	}
 	// Series within a family sort by label set.
-	zz := fams[1].Text
+	zz := fams[2].Text
 	ia := strings.Index(zz, `stage="a"`)
 	ib := strings.Index(zz, `stage="b"`)
 	if ia < 0 || ib < 0 || ia > ib {
@@ -96,6 +104,14 @@ func TestNilRegistryAndHistogram(t *testing.T) {
 		t.Fatal("nil registry should return nil histogram")
 	}
 	h.Observe(1) // must not panic
+	c := r.Counter("x_total", "h")
+	if c != nil {
+		t.Fatal("nil registry should return nil counter")
+	}
+	c.Add(1) // must not panic
+	if c.Load() != 0 {
+		t.Fatal("nil counter should load 0")
+	}
 	if r.Families() != nil {
 		t.Fatal("nil registry families should be nil")
 	}
@@ -103,6 +119,7 @@ func TestNilRegistryAndHistogram(t *testing.T) {
 
 func TestHistogramConcurrent(t *testing.T) {
 	h := newHistogram("c", "", ExpBuckets(1, 2, 10))
+	c := NewRegistry().Counter("c_total", "c")
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -111,10 +128,14 @@ func TestHistogramConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				h.Observe(float64(i%512) + 0.5)
+				c.Add(2)
 			}
 		}(w)
 	}
 	wg.Wait()
+	if got := c.Load(); got != 2*workers*per {
+		t.Fatalf("counter = %d, want %d", got, 2*workers*per)
+	}
 	_, total, sum := h.snapshot()
 	if total != workers*per {
 		t.Fatalf("total = %d, want %d", total, workers*per)

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/interp"
@@ -46,13 +45,14 @@ type artifactStore struct {
 	// the store degrades to memory-only rather than refusing to serve.
 	dirErr string
 
-	published     atomic.Int64
-	evictions     atomic.Int64
-	lruHits       atomic.Int64
-	lruMisses     atomic.Int64
-	queryPoints   atomic.Int64
-	loadErrors    atomic.Int64
-	publishErrors atomic.Int64
+	// Counters registered in the server's metrics registry.
+	published     *obs.Counter
+	evictions     *obs.Counter
+	lruHits       *obs.Counter
+	lruMisses     *obs.Counter
+	queryPoints   *obs.Counter
+	loadErrors    *obs.Counter
+	publishErrors *obs.Counter
 }
 
 // lruEntry is one fitted interpolator resident in the LRU.
@@ -61,12 +61,12 @@ type lruEntry struct {
 	ip interp.Interpolator
 }
 
-// newArtifactStore builds the registry and, when dir is set, loads every
-// artifact already on disk. Boot is best-effort: an unusable directory
-// degrades the store to memory-only and a corrupt file is skipped, both
-// counted and reported in /stats rather than failing server construction —
-// one damaged artifact must not take the service down.
-func newArtifactStore(dir string, lruCap, workers int) *artifactStore {
+// newArtifactStore builds the store, registers its counters in reg and, when
+// dir is set, loads every artifact already on disk. Boot is best-effort: an
+// unusable directory degrades the store to memory-only and a corrupt file is
+// skipped, both counted and reported in /stats rather than failing server
+// construction — one damaged artifact must not take the service down.
+func newArtifactStore(dir string, lruCap, workers int, reg *obs.Registry) *artifactStore {
 	st := &artifactStore{
 		dir:     dir,
 		lruCap:  lruCap,
@@ -74,6 +74,21 @@ func newArtifactStore(dir string, lruCap, workers int) *artifactStore {
 		arts:    make(map[string]*landscape.Artifact),
 		lru:     list.New(),
 		lruIdx:  make(map[string]*list.Element),
+
+		published: reg.Counter("oscard_artifacts_published_total",
+			"Landscape artifacts published by finished jobs this process."),
+		evictions: reg.Counter("oscard_artifact_evictions_total",
+			"Fitted interpolators evicted from the artifact LRU."),
+		lruHits: reg.Counter("oscard_artifact_lru_hits_total",
+			"Artifact queries served by an already-fitted interpolator."),
+		lruMisses: reg.Counter("oscard_artifact_lru_misses_total",
+			"Artifact queries that had to fit (or refit) the interpolator."),
+		queryPoints: reg.Counter("oscard_artifact_query_points_total",
+			"Points served by the artifact query endpoint."),
+		loadErrors: reg.Counter("oscard_artifact_load_errors_total",
+			"Artifacts on disk that failed to load at boot."),
+		publishErrors: reg.Counter("oscard_artifact_publish_errors_total",
+			"Artifact disk writes that failed at publish."),
 	}
 	if dir == "" {
 		return st

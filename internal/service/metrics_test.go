@@ -305,3 +305,91 @@ func TestMetricsMonotoneAcrossJobs(t *testing.T) {
 		t.Fatalf("run stage count %g -> %g, want +1", c1, c2)
 	}
 }
+
+// TestStatsAndMetricsAgree pins the shared snapshot: after a fleet job under
+// faults, a plain job on the same cache and artifact queries that hit, miss
+// and evict, /stats and /metrics report the same value for every number they
+// both carry.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	s := newTestServer(t, Config{ArtifactLRU: 1})
+	chaos := strings.Replace(fleetJob(""), `"devices"`, `"seed": 7, "risk_aware": true, "devices"`, 1)
+	chaos = strings.Replace(chaos, `"exec": 12}`,
+		`"exec": 12, "scenario": {"kind": "dropout", "start": 0, "duration": 1000000000}}`, 1)
+	a := submitArtifactJob(t, s, chaos)
+	b := submitArtifactJob(t, s, smallJob())
+	pts := [][]float64{{0.1, 0.2}, {0.3, -0.4}, {-0.5, 0.6}}
+	for _, id := range []string{a, b, a, a} {
+		if code, _, _ := postQuery(t, s, id, pts, false); code != 200 {
+			t.Fatalf("query %s: %d", id, code)
+		}
+	}
+
+	_, stats := do(t, s, "GET", "/stats", "")
+	fams := scrape(t, s)
+	metric := func(family, series string) float64 {
+		t.Helper()
+		f := fams[family]
+		if f == nil {
+			t.Fatalf("/metrics has no family %s", family)
+		}
+		v, ok := f.samples[series]
+		if !ok {
+			t.Fatalf("/metrics family %s has no series %s", family, series)
+		}
+		return v
+	}
+	block := func(name string) map[string]any {
+		t.Helper()
+		m, _ := stats[name].(map[string]any)
+		if m == nil {
+			t.Fatalf("/stats has no %s block: %v", name, stats)
+		}
+		return m
+	}
+	fleet, cache, arts, jobs := block("fleet"), block("cache"), block("artifacts"), block("jobs")
+	same := func(what string, stat any, family string) {
+		t.Helper()
+		v, ok := stat.(float64)
+		if !ok {
+			t.Fatalf("/stats %s = %v, want a number", what, stat)
+		}
+		if m := metric(family, family); m != v {
+			t.Errorf("%s: /stats %g, /metrics %s %g", what, v, family, m)
+		}
+	}
+	same("panics", stats["panics"], "oscard_panics_total")
+	same("fleet retries", fleet["retries_total"], "oscard_fleet_retries_total")
+	same("fleet quarantines", fleet["quarantine_events_total"], "oscard_fleet_quarantine_events_total")
+	same("cache hits", cache["total_hits"], "oscard_cache_hits_total")
+	same("cache misses", cache["total_misses"], "oscard_cache_misses_total")
+	same("cache entries", cache["total_len"], "oscard_cache_entries")
+	same("cache configs", float64(len(cache["configs"].([]any))), "oscard_cache_configs")
+	same("artifacts", arts["count"], "oscard_artifacts")
+	same("artifact LRU entries", arts["lru_entries"], "oscard_artifact_lru_entries")
+	same("artifacts published", arts["published"], "oscard_artifacts_published_total")
+	same("artifact evictions", arts["evictions"], "oscard_artifact_evictions_total")
+	same("artifact LRU hits", arts["lru_hits"], "oscard_artifact_lru_hits_total")
+	same("artifact LRU misses", arts["lru_misses"], "oscard_artifact_lru_misses_total")
+	same("artifact query points", arts["query_points"], "oscard_artifact_query_points_total")
+	same("artifact load errors", arts["load_errors"], "oscard_artifact_load_errors_total")
+	same("artifact publish errors", arts["publish_errors"], "oscard_artifact_publish_errors_total")
+	byState, _ := jobs["by_state"].(map[string]any)
+	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
+		v, _ := byState[string(st)].(float64) // /stats omits states with no jobs
+		if m := metric("oscard_jobs", `oscard_jobs{state="`+string(st)+`"}`); m != v {
+			t.Errorf("jobs %s: /stats %g, /metrics %g", st, v, m)
+		}
+	}
+
+	// The run must have moved the counters, or agreeing at zero proves
+	// nothing.
+	for what, v := range map[string]any{
+		"fleet retries": fleet["retries_total"], "fleet quarantines": fleet["quarantine_events_total"],
+		"cache hits": cache["total_hits"], "artifact evictions": arts["evictions"],
+		"artifact LRU hits": arts["lru_hits"], "jobs done": byState[string(StateDone)],
+	} {
+		if v == 0.0 {
+			t.Errorf("%s stayed 0", what)
+		}
+	}
+}

@@ -17,10 +17,9 @@
 //	                  job counts, per-job timings, recovered panics,
 //	                  fleet retry and quarantine totals, artifact-store
 //	                  counters
-//	GET    /metrics   Prometheus text-format export: job states, cache
-//	                  counters, fleet retry/quarantine counters, learned
-//	                  batch-size and tail-estimate gauges, artifact-store
-//	                  counters
+//	GET    /metrics   the same numbers in Prometheus text format, plus
+//	                  stage latency histograms and the learned batch-size
+//	                  and tail-estimate gauges of running fleet jobs
 //	GET    /healthz   liveness probe
 //
 //	GET    /landscapes             list published landscape artifacts
@@ -29,6 +28,9 @@
 //	POST   /landscapes/{id}/query  batch-evaluate the fitted surrogate
 //	                               (values and optional gradients; never
 //	                               touches a backend)
+//
+// /stats and /metrics both read the server's counters from its one obs
+// registry and the locked server state from one snapshot.
 //
 // Every finished reconstruction publishes its landscape into a
 // content-addressed artifact store (disk-backed when Config.ArtifactDir is
@@ -67,10 +69,10 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -172,26 +174,28 @@ type Server struct {
 	// reconstructions publish into it and /landscapes serves out of it.
 	artifacts *artifactStore
 
-	// log is the structured logger; metrics holds the per-stage latency
-	// histograms fed by span completions (the tracer OnEnd hook).
+	// log is the structured logger; metrics is the server's one metrics
+	// registry: every counter below and in artifacts, and the per-stage
+	// latency histograms fed by span completions (the tracer OnEnd hook).
 	log     *slog.Logger
 	metrics *obs.Registry
 
-	panics atomic.Int64
-	// fleetRetries and fleetQuarantines accumulate over finished fleet
-	// jobs: failed dispatches that were retried or re-dispatched, and
-	// quarantine transitions (bench + re-admit).
-	fleetRetries     atomic.Int64
-	fleetQuarantines atomic.Int64
-	// droppedSpans accumulates span starts rejected by per-job caps, over
-	// finished jobs.
-	droppedSpans atomic.Int64
+	// Counters registered in metrics by New. fleetRetries and
+	// fleetQuarantines accumulate over finished fleet jobs: failed
+	// dispatches that were retried or re-dispatched, and quarantine
+	// transitions (bench + re-admit). droppedSpans accumulates span starts
+	// rejected by per-job caps, over finished jobs.
+	panics           *obs.Counter
+	fleetRetries     *obs.Counter
+	fleetQuarantines *obs.Counter
+	droppedSpans     *obs.Counter
 }
 
 // New builds a server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
+	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:        cfg,
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
@@ -200,9 +204,16 @@ func New(cfg Config) *Server {
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
 		caches:     make(map[string]*exec.Cache),
-		artifacts:  newArtifactStore(cfg.ArtifactDir, cfg.ArtifactLRU, cfg.JobWorkers),
+		artifacts:  newArtifactStore(cfg.ArtifactDir, cfg.ArtifactLRU, cfg.JobWorkers, reg),
 		log:        cfg.Logger,
-		metrics:    obs.NewRegistry(),
+		metrics:    reg,
+		panics:     reg.Counter("oscard_panics_total", "Recovered internal panics."),
+		fleetRetries: reg.Counter("oscard_fleet_retries_total",
+			"Failed fleet dispatches that were retried or re-dispatched, over finished jobs."),
+		fleetQuarantines: reg.Counter("oscard_fleet_quarantine_events_total",
+			"Fleet quarantine transitions (bench and re-admit), over finished jobs."),
+		droppedSpans: reg.Counter("oscard_trace_dropped_spans_total",
+			"Span starts rejected by per-job span caps, over finished jobs."),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -429,49 +440,80 @@ type cacheStats struct {
 // older jobs only count toward the totals.
 const recentJobs = 32
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// fleetRow is one running fleet job as /metrics exports it; states is
+// filled from sch after the server lock is released.
+type fleetRow struct {
+	job      string
+	progress FleetProgress
+	sch      *fleet.Scheduler
+	states   []fleet.DeviceState
+}
+
+// serverSnapshot is the server state /stats and /metrics render from, read
+// under one acquisition of s.mu.
+type serverSnapshot struct {
+	byState map[JobState]int
+	total   int
+	// recent holds the newest recentJobs jobs, oldest first, without
+	// results.
+	recent []jobJSON
+	// caches is per device configuration, sorted by config; cacheSum
+	// totals them (its Config is empty).
+	caches   []cacheStats
+	cacheSum cacheStats
+	// fleets lists running fleet jobs in submission order.
+	fleets []fleetRow
+}
+
+func (s *Server) snapshot() serverSnapshot {
 	now := time.Now()
 	s.mu.Lock()
-	counts := map[JobState]int{}
+	snap := serverSnapshot{byState: map[JobState]int{}, total: len(s.order)}
 	for _, id := range s.order {
-		counts[s.jobs[id].state]++
+		j := s.jobs[id]
+		snap.byState[j.state]++
+		if j.progress != nil && j.state == StateRunning {
+			snap.fleets = append(snap.fleets, fleetRow{job: id, progress: *j.progress, sch: j.fleet})
+		}
 	}
-	total := len(s.order)
-	tail := s.order[max(0, total-recentJobs):]
-	recent := make([]jobJSON, 0, len(tail))
+	tail := s.order[max(0, snap.total-recentJobs):]
+	// Non-nil even when empty: a nil slice would marshal as null.
+	snap.recent = make([]jobJSON, 0, len(tail))
 	for _, id := range tail {
 		v := s.jobs[id].view(now)
 		v.Result = nil
-		recent = append(recent, v)
+		snap.recent = append(snap.recent, v)
 	}
-	caches := make([]cacheStats, 0, len(s.caches))
-	var totalHits, totalMisses int64
-	totalLen := 0
+	snap.caches = make([]cacheStats, 0, len(s.caches))
 	for key, c := range s.caches {
 		st := cacheStats{Config: key, Len: c.Len(), Hits: c.Hits(), Misses: c.Misses()}
-		totalHits += st.Hits
-		totalMisses += st.Misses
-		totalLen += st.Len
-		caches = append(caches, st)
+		snap.cacheSum.Len += st.Len
+		snap.cacheSum.Hits += st.Hits
+		snap.cacheSum.Misses += st.Misses
+		snap.caches = append(snap.caches, st)
 	}
 	s.mu.Unlock()
-	sort.Slice(caches, func(i, j int) bool { return caches[i].Config < caches[j].Config })
+	sort.Slice(snap.caches, func(i, j int) bool { return snap.caches[i].Config < snap.caches[j].Config })
+	return snap
+}
 
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	snap := s.snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_s":     time.Since(s.start).Seconds(),
 		"goroutines":   runtime.NumGoroutine(),
 		"panics":       s.panics.Load(),
 		"max_parallel": s.cfg.MaxConcurrent,
 		"jobs": map[string]any{
-			"total":    total,
-			"by_state": counts,
-			"recent":   recent,
+			"total":    snap.total,
+			"by_state": snap.byState,
+			"recent":   snap.recent,
 		},
 		"cache": map[string]any{
-			"configs":      caches,
-			"total_len":    totalLen,
-			"total_hits":   totalHits,
-			"total_misses": totalMisses,
+			"configs":      snap.caches,
+			"total_len":    snap.cacheSum.Len,
+			"total_hits":   snap.cacheSum.Hits,
+			"total_misses": snap.cacheSum.Misses,
 		},
 		"fleet": map[string]any{
 			"retries_total":           s.fleetRetries.Load(),

@@ -27,19 +27,16 @@ package oscar
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
 	"repro/internal/ansatz"
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/cs"
 	"repro/internal/exec"
 	"repro/internal/fleet"
 	"repro/internal/interp"
 	"repro/internal/landscape"
-	"repro/internal/mitigation"
 	"repro/internal/ncm"
 	"repro/internal/noise"
 	"repro/internal/optimizer"
@@ -70,8 +67,6 @@ type (
 	Ansatz = ansatz.Ansatz
 	// NoiseProfile describes device error rates.
 	NoiseProfile = noise.Profile
-	// SolverOptions configures the compressed-sensing solver.
-	SolverOptions = cs.Options
 	// OptimizerResult reports an optimization run.
 	OptimizerResult = optimizer.Result
 	// NCModel is a fitted noise-compensation model.
@@ -96,45 +91,6 @@ type (
 // for every worker count. Out-of-domain queries clamp to the grid hull on
 // every method: the surrogate never extrapolates beyond the fitted data.
 type Interpolator = interp.Interpolator
-
-// Landscape artifacts: the self-describing persisted form of a landscape —
-// format-versioned, checksummed, carrying grid axes, problem/backend
-// fingerprint, solver provenance, and reconstruction quality. Artifacts are
-// what oscard's /landscapes store publishes and serves; the same files load
-// anywhere via LoadArtifact.
-type (
-	// Artifact is a persisted landscape with provenance and a content
-	// checksum; its ID() is a stable content address.
-	Artifact = landscape.Artifact
-	// ArtifactSolverMeta records how an artifact's data was produced.
-	ArtifactSolverMeta = landscape.SolverMeta
-)
-
-// ArtifactVersion is the current on-disk artifact format version.
-const ArtifactVersion = landscape.ArtifactVersion
-
-// ErrBadArtifact marks a truncated, corrupt, or unknown-version artifact;
-// errors from LoadArtifact wrap it.
-var ErrBadArtifact = landscape.ErrBadArtifact
-
-// NewArtifact wraps a landscape in an artifact with unknown NRMSE; fill
-// Fingerprint, Solver, and CreatedAt as provenance is known.
-func NewArtifact(l *Landscape) *Artifact { return landscape.NewArtifact(l) }
-
-// SaveArtifact writes an artifact in the versioned, checksummed format.
-func SaveArtifact(w io.Writer, a *Artifact) error { return landscape.SaveArtifact(w, a) }
-
-// LoadArtifact reads an artifact written by SaveArtifact — or a legacy
-// bare-JSON landscape — verifying version, shape, and checksum; damaged
-// input fails with an error wrapping ErrBadArtifact.
-func LoadArtifact(r io.Reader) (*Artifact, error) { return landscape.LoadArtifact(r) }
-
-// SaveArtifactFile writes an artifact to path atomically (temp file +
-// rename), so readers never see a torn artifact.
-func SaveArtifactFile(path string, a *Artifact) error { return landscape.SaveArtifactFile(path, a) }
-
-// LoadArtifactFile reads an artifact from path.
-func LoadArtifactFile(path string) (*Artifact, error) { return landscape.LoadArtifactFile(path) }
 
 // Batched execution engine types. Every evaluation fan-out in the library —
 // landscape scans, reconstruction sampling, optimizer stencils, ZNE sweeps,
@@ -164,9 +120,6 @@ func NewEvalCache(quantum float64) *EvalCache { return exec.NewCache(quantum) }
 // implementation when it has one (all built-in evaluators do).
 func Batch(e Evaluator) BatchEvaluator { return exec.FromEvaluator(e) }
 
-// BatchFunc lifts a point evaluation function into a BatchEvaluator.
-func BatchFunc(eval EvalFunc) BatchEvaluator { return exec.Lift(eval) }
-
 // Reconstruct runs the OSCAR pipeline: random sampling, parallel execution,
 // compressed-sensing reconstruction.
 func Reconstruct(g *Grid, eval EvalFunc, opt Options) (*Landscape, *Stats, error) {
@@ -189,12 +142,6 @@ func ReconstructBatch(ctx context.Context, g *Grid, be BatchEvaluator, opt Optio
 // ReconstructFromSamples reconstructs from already-measured values.
 func ReconstructFromSamples(g *Grid, idx []int, values []float64, opt Options) (*Landscape, *Stats, error) {
 	return core.ReconstructFromSamples(g, idx, values, opt)
-}
-
-// ReconstructFromSamplesContext is ReconstructFromSamples with cancellation
-// threaded through the sharded solver.
-func ReconstructFromSamplesContext(ctx context.Context, g *Grid, idx []int, values []float64, opt Options) (*Landscape, *Stats, error) {
-	return core.ReconstructFromSamplesContext(ctx, g, idx, values, opt)
 }
 
 // GenerateDense runs the full grid search OSCAR replaces (ground truth).
@@ -294,34 +241,10 @@ func UCCSDLiHAnsatz() (*Ansatz, error) { return ansatz.UCCSDLiH() }
 // buffers across every point.
 func NewStateVector(p *Problem, a *Ansatz) (Evaluator, error) { return backend.NewStateVector(p, a) }
 
-// NewStateVectorWorkers is NewStateVector with a worker budget for direct
-// batch submissions (0 = GOMAXPROCS): large batches shard deterministically
-// across points, small batches of large states shard each gate kernel over
-// amplitude ranges — bit-identical to a serial run either way. Evaluators
-// driven through an Engine should use NewStateVector and let the engine's
-// Workers option do the fan-out instead.
-func NewStateVectorWorkers(p *Problem, a *Ansatz, workers int) (Evaluator, error) {
-	sv, err := backend.NewStateVector(p, a)
-	if err != nil {
-		return nil, err
-	}
-	return sv.SetWorkers(workers), nil
-}
-
 // NewDensity builds the exact noisy evaluator (<= 13 qubits), with the same
 // buffer-reuse treatment as NewStateVector applied to its 4^n matrices.
 func NewDensity(p *Problem, a *Ansatz, prof NoiseProfile) (Evaluator, error) {
 	return backend.NewDensity(p, a, prof)
-}
-
-// NewDensityWorkers is NewDensity with a worker budget for direct batch
-// submissions (0 = GOMAXPROCS); see NewStateVectorWorkers.
-func NewDensityWorkers(p *Problem, a *Ansatz, prof NoiseProfile, workers int) (Evaluator, error) {
-	dm, err := backend.NewDensity(p, a, prof)
-	if err != nil {
-		return nil, err
-	}
-	return dm.SetWorkers(workers), nil
 }
 
 // NewAnalyticQAOA builds the closed-form depth-1 QAOA evaluator.
@@ -486,11 +409,6 @@ func RunCobyla(f optimizer.Objective, x0 []float64, opt optimizer.CobylaOptions)
 // FitNCM trains a noise-compensation model from paired device measurements.
 func FitNCM(source, reference []float64) (*NCModel, error) { return ncm.Fit(source, reference) }
 
-// NewZNE wraps a noise-scalable evaluator with zero-noise extrapolation.
-func NewZNE(inner mitigation.ScalableEvaluator, scales []float64, model mitigation.Extrapolation) (Evaluator, error) {
-	return mitigation.NewZNE(inner, scales, model)
-}
-
 // Multi-QPU execution.
 
 // NewExecutor builds a virtual-time multi-QPU executor.
@@ -500,9 +418,6 @@ func NewExecutor(seed int64, devices ...qpu.Device) (*qpu.Executor, error) {
 
 // Device couples an evaluator with a latency model.
 type Device = qpu.Device
-
-// DefaultLatency is a cloud-QPU-like latency model.
-func DefaultLatency() qpu.LatencyModel { return qpu.DefaultLatency() }
 
 // Fleet scheduling. The fleet scheduler dispatches landscape sampling across
 // a heterogeneous device fleet, learning per-device batch sizes online from
@@ -521,11 +436,6 @@ type (
 	FleetStreamResult = fleet.StreamResult
 	// FleetProgress is the live view passed to OnProgress.
 	FleetProgress = fleet.Progress
-	// FleetDeviceState is one device's learned scheduling state.
-	FleetDeviceState = fleet.DeviceState
-	// BatchGroup records one batch submission's latency decomposition and
-	// completion time.
-	BatchGroup = qpu.BatchGroup
 )
 
 // NewFleet builds an adaptive fleet scheduler over the given devices.
@@ -533,49 +443,12 @@ func NewFleet(opt FleetOptions, devices ...Device) (*FleetScheduler, error) {
 	return fleet.New(opt, devices...)
 }
 
-// Fault injection and risk-aware scheduling. A Scenario perturbs a device's
-// latency, failure probability, or availability as a function of virtual
-// time — deterministic, seeded chaos for validating schedulers against
-// adversarial device behavior. Sharing one scenario instance across several
-// devices correlates their disturbances. FleetOptions.RiskAware enables the
-// robustness policy layer: tail-exposure batch caps, bounded retries with
-// backoff, and quarantine/probation for persistently failing devices.
-type (
-	// Scenario perturbs a device's condition over virtual time.
-	Scenario = qpu.Scenario
-	// Condition is a device's effective behavior at one instant.
-	Condition = qpu.Condition
-	// Drift ramps execution time linearly, as between calibrations.
-	Drift = qpu.Drift
-	// Dropout takes a device dark for one window of virtual time.
-	Dropout = qpu.Dropout
-	// QueueSpikes multiplies queue delay during seeded windows.
-	QueueSpikes = qpu.QueueSpikes
-	// RetryStorm raises failure probability during seeded windows.
-	RetryStorm = qpu.RetryStorm
-	// QuarantineEvent records one bench or re-admit transition of a
-	// risk-aware run.
-	QuarantineEvent = fleet.QuarantineEvent
-)
-
-// NewQueueSpikes builds a congestion-burst scenario: windows of the given
-// duration recur with exponentially distributed gaps of mean spacing,
-// multiplying queue delay by factor while active.
-func NewQueueSpikes(seed int64, spacing, duration, factor float64) *QueueSpikes {
-	return qpu.NewQueueSpikes(seed, spacing, duration, factor)
-}
-
-// NewRetryStorm builds a transient-failure-burst scenario: windows of the
-// given duration recur with exponentially distributed gaps of mean spacing,
-// raising failure probability to prob while active.
-func NewRetryStorm(seed int64, spacing, duration, prob float64) *RetryStorm {
-	return qpu.NewRetryStorm(seed, spacing, duration, prob)
-}
-
-// ComposeScenarios chains scenarios: each one's perturbation feeds the next.
-func ComposeScenarios(scenarios ...Scenario) Scenario {
-	return qpu.Compose(scenarios...)
-}
+// Dropout takes a device dark for one window of virtual time: one of the
+// deterministic, seeded fault scenarios (internal/qpu) a Device can carry.
+// FleetOptions.RiskAware enables the robustness policy layer against them:
+// tail-exposure batch caps, bounded retries with backoff, and
+// quarantine/probation for persistently failing devices.
+type Dropout = qpu.Dropout
 
 // ClampAngle wraps an angle into [-pi, pi], a convenience for initial
 // points produced by optimizers.
